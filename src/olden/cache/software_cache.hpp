@@ -125,17 +125,6 @@ class SoftwareCache {
     return r;
   }
 
-  /// Const search with no MRU update and no move-to-front: the fault
-  /// plane's wire-need probe must not perturb anything a later charged
-  /// `lookup` would observe (host-side or simulation-visible).
-  [[nodiscard]] const PageEntry* peek(std::uint32_t page_id) const {
-    for (const PageEntry* e = buckets_[bucket_of(page_id)]; e != nullptr;
-         e = e->next) {
-      if (e->page_id == page_id) return e;
-    }
-    return nullptr;
-  }
-
   /// Find-or-create a page entry. `created` reports a fresh allocation.
   PageEntry& ensure_page(std::uint32_t page_id, bool& created);
 

@@ -35,13 +35,9 @@ struct ReadAwaiter {
   }
   void await_suspend(std::coroutine_handle<> h) {
     Machine& m = Machine::current();
-    if (m.take_coherent_suspend()) {
-      // Fault plane: the access rides the coherence request/reply wire;
-      // `value` is filled by the op before `h` resumes, so await_resume
-      // has nothing left to do (migrated stays false).
-      m.begin_coherent_access(addr, &value, sizeof(T), false, site, h);
-      return;
-    }
+    // A parked access (fault plane only) fills `value` before `h`
+    // resumes, so await_resume has nothing left to do.
+    if (m.attach_parked_access(h)) return;
     migrated = true;
     m.migrate_to(addr.proc(), h, site);
   }
@@ -65,10 +61,7 @@ struct WriteAwaiter {
   }
   void await_suspend(std::coroutine_handle<> h) {
     Machine& m = Machine::current();
-    if (m.take_coherent_suspend()) {
-      m.begin_coherent_access(addr, &value, sizeof(T), true, site, h);
-      return;
-    }
+    if (m.attach_parked_access(h)) return;
     migrated = true;
     m.migrate_to(addr.proc(), h, site);
   }
