@@ -3,8 +3,10 @@
 // accounting invariants DESIGN.md §7 promises.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "olden/fault/fault_spec.hpp"
 #include "olden/olden.hpp"
 
 namespace olden {
@@ -39,6 +41,20 @@ Task<std::int64_t> big_roundtrip(Machine& m) {
   co_return acc;
 }
 
+Task<std::int64_t> big_roundtrip_first_line_cached(Machine& m) {
+  auto b = m.alloc<Big>(2);
+  Big v{};
+  for (int i = 0; i < 20; ++i) v.words[i] = 1000 + i;
+  co_await wr_obj(b, v, kCache0);
+  // Cache only the object's first line, then read the whole object.
+  const std::int64_t first =
+      co_await rd_elem(GPtr<std::int64_t>(b.addr()), 0, kCache0);
+  const Big back = co_await rd_obj(b, kCache0);
+  std::int64_t acc = first - v.words[0];
+  for (int i = 0; i < 20; ++i) acc += back.words[i] - v.words[i];
+  co_return acc;
+}
+
 TEST(RuntimeEdge, MultiLineObjectTransfers) {
   Machine m({.nprocs = 4});
   m.set_site_mechanisms(table());
@@ -47,6 +63,18 @@ TEST(RuntimeEdge, MultiLineObjectTransfers) {
   // miss counter is per access, pages per (proc, page).
   EXPECT_EQ(m.stats().cache_misses, 1u);
   EXPECT_GE(m.stats().pages_cached, 1u);
+
+  // Under a fault plane, even one that injects nothing, every fill rides
+  // the wire. With the first line already cached, the object read
+  // completes chunk 1 inline, then parks on chunk 2 and again on chunk 3.
+  fault::FaultSpec spec;
+  std::string err;
+  ASSERT_TRUE(fault::parse_fault_spec("drop=0", &spec, &err)) << err;
+  Machine f({.nprocs = 4, .faults = &spec});
+  f.set_site_mechanisms(table());
+  EXPECT_EQ(run_program(f, big_roundtrip_first_line_cached(f)), 0);
+  EXPECT_EQ(f.stats().cache_misses, 2u);  // the word, then the object
+  EXPECT_EQ(f.stats().coherence_requests, 3u);
 }
 
 // --- write-through visibility --------------------------------------------
