@@ -165,26 +165,9 @@ SiteGrade grade_site(const profile::SiteRow& s) {
                           : static_cast<double>(s.cache_hits) /
                                 static_cast<double>(reads);
 
-  if (g.chosen == Mechanism::kMigrate) {
-    // A migrate site pays off when, once moved, the thread keeps finding
-    // its data local — the same >= 90% affinity bar the static heuristic
-    // used. A site that migrates on more than 10% of its accesses is
-    // bouncing, and caching the data would have been cheaper.
-    if (g.local_fraction < kScoreboardAffinityThreshold) {
-      g.recommended = Mechanism::kCache;
-      g.agree = false;
-    }
-  } else {
-    // A cache site pays off when remote reads mostly hit. Flip only on
-    // positive evidence: mostly-remote traffic AND a hit rate below the
-    // floor. Write-only sites (write-through traffic, no reads) stay as
-    // chosen — there is no reuse signal to judge them by.
-    if (g.local_fraction < kScoreboardAffinityThreshold && reads > 0 &&
-        g.hit_rate < kScoreboardHitRateFloor) {
-      g.recommended = Mechanism::kMigrate;
-      g.agree = false;
-    }
-  }
+  g.recommended =
+      graded_mechanism(g.chosen, s.accesses, local, reads, s.cache_hits);
+  g.agree = g.recommended == g.chosen;
   return g;
 }
 

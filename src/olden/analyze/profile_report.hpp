@@ -11,15 +11,6 @@
 
 namespace olden::analyze {
 
-/// The affinity bar the paper's compile-time heuristic uses (§4: migrate
-/// when following the pointer stays local at least 90% of the time). The
-/// scoreboard holds observed behaviour to the same bar.
-inline constexpr double kScoreboardAffinityThreshold = 0.90;
-
-/// Below this hit rate a cache-mechanism site is judged to be mostly
-/// fetching rather than reusing, so migration would colocate better.
-inline constexpr double kScoreboardHitRateFloor = 0.50;
-
 /// How one site's static decision scored against observed behaviour.
 struct SiteGrade {
   Mechanism chosen = Mechanism::kMigrate;       ///< what the run used
@@ -29,7 +20,9 @@ struct SiteGrade {
   double hit_rate = 0.0;        ///< remote reads served by the cache
 };
 
-/// Grade one profiled site. Sites with no accesses trivially agree.
+/// Grade one profiled site by `graded_mechanism` (support/types.hpp), the
+/// rule the adaptive scheme's decision ticks apply too. Sites with no
+/// accesses trivially agree.
 [[nodiscard]] SiteGrade grade_site(const profile::SiteRow& s);
 
 /// The full human report for every run in the document: interval summary,

@@ -43,6 +43,28 @@ enum class Mechanism : std::uint8_t {
   return m == Mechanism::kMigrate ? "migrate" : "cache";
 }
 
+/// The one site-grading rule: the mechanism a site's observed access mix
+/// argues for, holding it to the paper's bars (§4) in exact integers. Of
+/// `total` accesses, `local` needed no mechanism; of `reads` remote cached
+/// reads, `hits` hit. A migrate site that moves the thread on more than
+/// 10% of its accesses (local < 90%) is bouncing, and caching the data
+/// would be cheaper. A cache site flips only on positive evidence: the
+/// same low affinity AND a hit rate below 50% (write-only traffic carries
+/// no reuse signal and never flips it). The offline profile scoreboard
+/// and the adaptive scheme's decision ticks both grade with this.
+[[nodiscard]] constexpr Mechanism graded_mechanism(Mechanism chosen,
+                                                   std::uint64_t total,
+                                                   std::uint64_t local,
+                                                   std::uint64_t reads,
+                                                   std::uint64_t hits) {
+  const bool low_affinity = local * 10 < total * 9;
+  if (chosen == Mechanism::kMigrate) {
+    return low_affinity ? Mechanism::kCache : Mechanism::kMigrate;
+  }
+  return low_affinity && reads > 0 && hits * 2 < reads ? Mechanism::kMigrate
+                                                        : Mechanism::kCache;
+}
+
 /// A set of processors, one bit per ProcId.
 class ProcSet {
  public:

@@ -556,5 +556,22 @@ TEST(Scoreboard, CacheSiteFlipsOnlyOnRemoteTrafficWithPoorReuse) {
   EXPECT_TRUE(idle.agree);
 }
 
+// The bars are exact: the scoreboard grades in the same integers as the
+// adaptive scheme's decision ticks, so no rounding can split the two.
+TEST(Scoreboard, BarsAreIntegerExact) {
+  // Exactly 90% local meets the affinity bar.
+  const auto at_bar =
+      analyze::grade_site(site_row("migrate", 900, 0, 0, 0, 100));
+  EXPECT_TRUE(at_bar.agree);
+  // 899 of 1000 local falls just below it.
+  const auto below =
+      analyze::grade_site(site_row("migrate", 899, 0, 0, 0, 101));
+  EXPECT_FALSE(below.agree);
+  EXPECT_EQ(below.recommended, Mechanism::kCache);
+  // Exactly 50% hits meets the hit-rate floor, however remote the site.
+  EXPECT_TRUE(analyze::grade_site(site_row("cache", 0, 50, 50, 0, 0)).agree);
+  EXPECT_FALSE(analyze::grade_site(site_row("cache", 0, 49, 51, 0, 0)).agree);
+}
+
 }  // namespace
 }  // namespace olden
