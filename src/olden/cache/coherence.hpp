@@ -18,11 +18,13 @@
 // Host-speed layout: page ids are dense per home processor (top bits are
 // the owner, low bits the local page number), so the directory is an array
 // of per-processor vectors indexed directly by local page number — no
-// hashing on the write-tracking fast path. Write logs are an inline
-// small-vector (most threads dirty a handful of pages between migrations)
-// with heap spill, a last-page fast path for the consecutive line-chunk
-// writes the compiler emits, and *canonically sorted* iteration so every
-// container choice drains releases in the same deterministic order.
+// hashing on the write-tracking fast path. A write log is one vector kept
+// sorted by page id, with a last-page fast path for the consecutive
+// line-chunk writes the compiler emits. Logs are not small: at p=8 under
+// global coherence a thread dirties up to ~1,000 pages between releases
+// (paper TreeAdd; Barnes-Hut ~700, Voronoi ~400, Bisort ~130), so a lookup
+// is a binary search, and releases drain in ascending page order, the one
+// canonical order no container choice can rearrange.
 #pragma once
 
 #include <algorithm>
@@ -145,58 +147,41 @@ class CoherenceDirectory {
 /// write-tracking code of Appendix A accumulates; the runtime drains it at
 /// each migration departure.
 ///
-/// Most logs hold a handful of pages, and the tracking code records the
-/// same page repeatedly as a structure's lines are written in sequence —
-/// so: last-page fast path, then linear scan of an inline array, spilling
-/// to the heap only past kInline distinct pages. `for_each` visits pages
-/// in ascending page-id order, a canonical order no container rearranges.
+/// The tracking code records the same page repeatedly as a structure's
+/// lines are written in sequence, so: last-page fast path, then a binary
+/// search of the page-sorted entries, inserting in order on a new page.
+/// `for_each` walks the entries in place, in ascending page-id order.
 class WriteLog {
  public:
   void record(std::uint32_t page_id, std::uint32_t line_mask) {
-    if (n_ > 0) {
-      Entry& last = at(last_);
-      if (last.page == page_id) {
-        last.mask |= line_mask;
-        return;
-      }
+    if (last_ < entries_.size() && entries_[last_].page == page_id) {
+      entries_[last_].mask |= line_mask;
+      return;
     }
-    for (std::uint32_t i = 0; i < n_; ++i) {
-      if (at(i).page == page_id) {
-        at(i).mask |= line_mask;
-        last_ = i;
-        return;
-      }
-    }
-    if (n_ < kInline) {
-      inline_[n_] = {page_id, line_mask};
+    auto it = std::lower_bound(
+        entries_.begin(), entries_.end(), page_id,
+        [](const Entry& e, std::uint32_t page) { return e.page < page; });
+    if (it != entries_.end() && it->page == page_id) {
+      it->mask |= line_mask;
     } else {
-      spill_.push_back({page_id, line_mask});
+      it = entries_.insert(it, Entry{page_id, line_mask});
     }
-    last_ = n_++;
+    last_ = static_cast<std::size_t>(it - entries_.begin());
   }
 
   void clear() {
-    n_ = 0;
+    entries_.clear();  // keeps capacity: no realloc churn across migrations
     last_ = 0;
-    spill_.clear();  // keeps capacity: no realloc churn across migrations
   }
 
-  [[nodiscard]] bool empty() const { return n_ == 0; }
-  [[nodiscard]] std::size_t size() const { return n_; }
+  [[nodiscard]] bool empty() const { return entries_.empty(); }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
-  template <class Fn>  // fn(page_id, line_mask), ascending page_id
+  /// fn(page_id, line_mask), ascending page_id. `fn` must not record into
+  /// this log: the walk is over the live entries.
+  template <class Fn>
   void for_each(Fn&& fn) const {
-    Entry stack[kSortStack];
-    std::vector<Entry> heap;
-    Entry* buf = stack;
-    if (n_ > kSortStack) {
-      heap.resize(n_);
-      buf = heap.data();
-    }
-    for (std::uint32_t i = 0; i < n_; ++i) buf[i] = at(i);
-    std::sort(buf, buf + n_,
-              [](const Entry& a, const Entry& b) { return a.page < b.page; });
-    for (std::uint32_t i = 0; i < n_; ++i) fn(buf[i].page, buf[i].mask);
+    for (const Entry& e : entries_) fn(e.page, e.mask);
   }
 
  private:
@@ -204,20 +189,9 @@ class WriteLog {
     std::uint32_t page = 0;
     std::uint32_t mask = 0;
   };
-  static constexpr std::uint32_t kInline = 8;
-  static constexpr std::uint32_t kSortStack = 64;
 
-  Entry& at(std::uint32_t i) {
-    return i < kInline ? inline_[i] : spill_[i - kInline];
-  }
-  [[nodiscard]] const Entry& at(std::uint32_t i) const {
-    return i < kInline ? inline_[i] : spill_[i - kInline];
-  }
-
-  std::array<Entry, kInline> inline_{};
-  std::vector<Entry> spill_;
-  std::uint32_t n_ = 0;
-  std::uint32_t last_ = 0;  ///< index of the most recently recorded page
+  std::vector<Entry> entries_;  ///< sorted by page, pages unique
+  std::size_t last_ = 0;        ///< index of the most recently recorded page
 };
 
 }  // namespace olden
