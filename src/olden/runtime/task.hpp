@@ -12,19 +12,127 @@
 //    caller's continuation on the work list and runs the body inline; a
 //    thread is created only if the body migrates away.
 //
-// Task frames live on the host heap; only the thread's execution point
-// moves between virtual processors, matching "we send only the portion of
-// the thread's state necessary for the current procedure".
+// Task frames live on the host heap (recycled through FramePool below);
+// only the thread's execution point moves between virtual processors,
+// matching "we send only the portion of the thread's state necessary for
+// the current procedure".
 #pragma once
 
+#include <array>
 #include <coroutine>
+#include <cstddef>
+#include <new>
 #include <utility>
 
 #include "olden/runtime/machine.hpp"
 
+#if OLDEN_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace olden {
 
 namespace detail {
+
+/// Recycled coroutine frames: one free list per 16-byte size class, per
+/// host thread. Every procedure call and futurecall allocates a frame, a
+/// run allocates millions in a few dozen sizes, and a pop from the class's
+/// list replaces the malloc/free pair.
+///
+/// The pool caches only while a Machine is live on the thread. The
+/// outermost Machine's teardown returns every cached frame to the
+/// allocator, and a frame freed with no Machine live goes straight back,
+/// so a host thread never exits holding frames and the heap a run leaves
+/// behind is the allocator's own. Under ASan a cached frame is poisoned,
+/// so a use after free of a recycled frame is still reported.
+class FramePool {
+ public:
+  static constexpr std::size_t kGrain = 16;
+  /// Larger frames bypass the pool. Every frame the ten benchmarks
+  /// allocate fits; the largest is Health's, at 1,664 bytes.
+  static constexpr std::size_t kMaxPooled = 2048;
+
+  static void* allocate(std::size_t n) {
+    if (n > kMaxPooled) return ::operator new(n);
+    const std::size_t c = size_class(n);
+    Lists& l = lists_;
+    FreeFrame* f = l.head[c];
+    if (f == nullptr) return ::operator new(class_bytes(c));
+    unpoison(f, class_bytes(c));
+    l.head[c] = f->next;
+    --l.cached;
+    return f;
+  }
+
+  static void deallocate(void* p, std::size_t n) noexcept {
+    if (n > kMaxPooled) {
+      ::operator delete(p, n);
+      return;
+    }
+    const std::size_t c = size_class(n);
+    Lists& l = lists_;
+    if (l.machines == 0) {
+      ::operator delete(p, class_bytes(c));
+      return;
+    }
+    l.head[c] = new (p) FreeFrame{l.head[c]};
+    ++l.cached;
+    poison(p, class_bytes(c));
+  }
+
+  /// Called by Machine's constructor and destructor: the pool caches
+  /// while at least one Machine is live on this thread, and empties when
+  /// the outermost one goes.
+  static void machine_opened() { ++lists_.machines; }
+  static void machine_closed() {
+    if (--lists_.machines > 0) return;
+    Lists& l = lists_;
+    for (std::size_t c = 0; c < kClasses; ++c) {
+      while (FreeFrame* f = l.head[c]) {
+        unpoison(f, class_bytes(c));
+        l.head[c] = f->next;
+        ::operator delete(f, class_bytes(c));
+      }
+    }
+    l.cached = 0;
+  }
+
+  /// Frames cached on this thread right now.
+  [[nodiscard]] static std::size_t cached() { return lists_.cached; }
+
+ private:
+  struct FreeFrame {
+    FreeFrame* next;
+  };
+  static constexpr std::size_t kClasses = kMaxPooled / kGrain;
+  /// Trivially destructible and constant-initialized, so the hot path
+  /// reads the thread_local directly, without a TLS init guard.
+  struct Lists {
+    std::array<FreeFrame*, kClasses> head{};
+    std::size_t cached = 0;
+    std::size_t machines = 0;
+  };
+
+  static std::size_t size_class(std::size_t n) {  // n >= 1
+    return (n - 1) / kGrain;
+  }
+  static std::size_t class_bytes(std::size_t c) { return (c + 1) * kGrain; }
+  static void poison([[maybe_unused]] void* p, [[maybe_unused]] std::size_t n) {
+#if OLDEN_ASAN
+    __asan_poison_memory_region(p, n);
+#endif
+  }
+  static void unpoison([[maybe_unused]] void* p,
+                       [[maybe_unused]] std::size_t n) {
+#if OLDEN_ASAN
+    __asan_unpoison_memory_region(p, n);
+#endif
+  }
+
+  static thread_local Lists lists_;
+};
+
+inline thread_local FramePool::Lists FramePool::lists_;
 
 /// Holds the co_returned value; the void specialization swaps
 /// return_value for return_void (a promise must declare exactly one).
@@ -50,6 +158,13 @@ class [[nodiscard]] Task {
     std::coroutine_handle<> cont;  ///< caller resumption (null for roots)
     ProcId call_proc = 0;          ///< caller's processor at invocation
     FutureCell* cell = nullptr;    ///< non-null for future bodies
+
+    static void* operator new(std::size_t n) {
+      return detail::FramePool::allocate(n);
+    }
+    static void operator delete(void* p, std::size_t n) noexcept {
+      detail::FramePool::deallocate(p, n);
+    }
 
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
