@@ -274,9 +274,6 @@ int main(int argc, char** argv) {
         if (main_obs->profile_enabled()) {
           o.obs.enable_profile(main_obs->profile_interval());
         }
-        if (main_obs->sample_enabled()) {
-          o.obs.set_sample(main_obs->sample_spec());
-        }
       }
     }
     std::atomic<std::size_t> next{0};

@@ -55,7 +55,6 @@ void ObsCli::parse(int* argc, char** argv,
   std::string fault_seed_str;
   std::string adapt_interval_str;
   std::string adapt_hysteresis_str;
-  std::string sample_str;
   bool breakdown_env =
       std::getenv("OLDEN_BREAKDOWN") != nullptr;
   auto passes_through = [&](const char* arg) {
@@ -111,12 +110,6 @@ void ObsCli::parse(int* argc, char** argv,
         flag_error(argv[0],
                    "--adapt-hysteresis: empty value is not a positive integer");
       }
-    } else if (flag_value(argv[i], "--sample", &v)) {
-      sample_str = v;
-      if (sample_str.empty()) {
-        flag_error(argv[0], "--sample: empty value is not a W:D[:offset] "
-                            "schedule");
-      }
     } else if (std::strcmp(argv[i], "--breakdown") == 0) {
       breakdown_ = true;
     } else if (std::strcmp(argv[i], "--version") == 0) {
@@ -153,7 +146,6 @@ void ObsCli::parse(int* argc, char** argv,
   env_default(&fault_seed_str, "OLDEN_FAULT_SEED");
   env_default(&adapt_interval_str, "OLDEN_ADAPT_INTERVAL");
   env_default(&adapt_hysteresis_str, "OLDEN_ADAPT_HYSTERESIS");
-  env_default(&sample_str, "OLDEN_SAMPLE");
   if (!limit_str.empty()) {
     std::uint64_t limit = 0;
     if (!parse_u64_strict(limit_str, &limit)) {
@@ -209,24 +201,6 @@ void ObsCli::parse(int* argc, char** argv,
     obs_.enable_profile();
   }
   breakdown_ = breakdown_ || breakdown_env;
-  if (!sample_str.empty()) {
-    sample::Spec spec;
-    std::string err;
-    if (!sample::parse_spec(sample_str, &spec, &err)) {
-      flag_error(argv[0], ("--sample: " + err).c_str());
-    }
-    if (!trace_path_.empty() || !trace_bin_path_.empty() ||
-        !trace_stream_path_.empty() || !profile_path_.empty()) {
-      // Warming-phase events and cycles are never emitted, so any trace or
-      // profile collected under sampling would have broken causal chains
-      // and truncated timelines; refuse the combination instead.
-      flag_error(argv[0],
-                 "--sample cannot be combined with --trace/--trace-bin/"
-                 "--trace-stream/--profile (functional warming suppresses "
-                 "their per-event inputs)");
-    }
-    obs_.set_sample(spec);
-  }
   if (!trace_stream_path_.empty() &&
       (!trace_path_.empty() || !trace_bin_path_.empty())) {
     // The streamed events are not retained in memory, so neither in-memory
@@ -238,7 +212,7 @@ void ObsCli::parse(int* argc, char** argv,
   }
   active_ = breakdown_ || !trace_path_.empty() || !trace_bin_path_.empty() ||
             !trace_stream_path_.empty() || !stats_path_.empty() ||
-            !profile_path_.empty() || obs_.sample_enabled();
+            !profile_path_.empty();
   obs_.set_trace_enabled(!trace_path_.empty() || !trace_bin_path_.empty() ||
                          !trace_stream_path_.empty());
   if (!trace_stream_path_.empty()) {
@@ -262,12 +236,7 @@ bool ObsCli::finish() {
   if (breakdown_) {
     for (const trace::RunRecord& run : obs_.runs()) {
       std::fputs("\n", stdout);
-      // Sampled runs have no per-processor breakdown; print the schedule
-      // and estimate summary instead.
-      std::fputs(run.sample.enabled
-                     ? trace::sample_table(run).c_str()
-                     : trace::breakdown_table(run).c_str(),
-                 stdout);
+      std::fputs(trace::breakdown_table(run).c_str(), stdout);
     }
   }
   bool ok = true;
@@ -354,21 +323,11 @@ const char* ObsCli::usage() {
          "                     consecutive flip votes required before a "
          "site flips\n"
          "                     (default 2; must be positive)\n"
-         "  --sample=W:D[:offset]\n"
-         "                     SMARTS-style sampled run: measure detail "
-         "windows of D\n"
-         "                     virtual cycles every W cycles, functional "
-         "warming in\n"
-         "                     between; stats carry per-counter estimates "
-         "with 95%\n"
-         "                     CIs (excludes --trace*/--profile; see "
-         "docs/SAMPLING.md)\n"
          "  --version          print stats/trace schema versions and exit\n"
          "  (env: OLDEN_TRACE, OLDEN_TRACE_BIN, OLDEN_TRACE_STREAM, "
          "OLDEN_STATS_JSON, OLDEN_PROFILE, OLDEN_PROFILE_INTERVAL, "
          "OLDEN_TRACE_LIMIT, OLDEN_BREAKDOWN, OLDEN_FAULTS, "
-         "OLDEN_FAULT_SEED, OLDEN_ADAPT_INTERVAL, OLDEN_ADAPT_HYSTERESIS, "
-         "OLDEN_SAMPLE)\n";
+         "OLDEN_FAULT_SEED, OLDEN_ADAPT_INTERVAL, OLDEN_ADAPT_HYSTERESIS)\n";
 }
 
 }  // namespace olden::bench

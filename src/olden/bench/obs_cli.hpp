@@ -16,18 +16,13 @@
 //                        cycles (only meaningful with --scheme=adaptive)
 //   --adapt-hysteresis=K consecutive intervals a site must vote to flip
 //                        before it does (default 2)
-//   --sample=W:D[:off]   SMARTS-style sampled run: detail windows of D
-//                        virtual cycles every W cycles (functional warming
-//                        between them); stats report per-counter estimates
-//                        with 95% CIs. Excludes --trace*/--profile.
-//                        See docs/SAMPLING.md.
 //
 // Environment variables OLDEN_TRACE, OLDEN_TRACE_BIN, OLDEN_TRACE_STREAM,
 // OLDEN_STATS_JSON, OLDEN_PROFILE, OLDEN_PROFILE_INTERVAL,
-// OLDEN_TRACE_LIMIT, OLDEN_FAULTS, OLDEN_FAULT_SEED, OLDEN_ADAPT_INTERVAL,
-// OLDEN_ADAPT_HYSTERESIS and OLDEN_SAMPLE supply defaults when the
-// corresponding flag is absent, so wrappers can enable collection without
-// editing command lines.
+// OLDEN_TRACE_LIMIT, OLDEN_FAULTS, OLDEN_FAULT_SEED, OLDEN_ADAPT_INTERVAL
+// and OLDEN_ADAPT_HYSTERESIS supply defaults when the corresponding flag
+// is absent, so wrappers can enable collection without editing command
+// lines.
 //
 // Malformed values (a non-numeric --trace-limit / --fault-seed, a zero or
 // non-numeric --profile-interval, an unparsable --faults spec) are rejected

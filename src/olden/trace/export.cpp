@@ -8,7 +8,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "olden/sample/estimator.hpp"
 #include "olden/trace/observer.hpp"
 
 namespace olden::trace {
@@ -128,88 +127,6 @@ const char* flow_name(EventKind child) {
     case EventKind::kFutureSteal: return "future_steal";
     default: return "causal";
   }
-}
-
-void append_estimate(std::string& out, const char* key,
-                     const sample::Estimate& e) {
-  out += "\"";
-  out += key;
-  out += "\":{";
-  append_kv(out, "estimate", e.value);
-  append_kv(out, "ci95", e.ci95, /*comma=*/false);
-  out += "}";
-}
-
-/// The v5 sampled-run block, emitted between "seconds" and "counters":
-/// the pinned window schedule, the integer-exact in-window sums, the
-/// extrapolated estimates with 95% CIs, and the provenance partition
-/// separating exact fields (machine counters) from estimated ones
-/// (cycle buckets, event-kind counts). See docs/SAMPLING.md.
-void append_sampled_block(std::string& out, const RunRecord& run) {
-  const sample::RunEstimates est =
-      sample::estimate(run.sample, run.nprocs, run.makespan);
-  out += "\"sampled\":true,\"sample\":{";
-  append_kv(out, "window_cycles", run.sample.spec.window);
-  append_kv(out, "detail_cycles", run.sample.spec.detail);
-  append_kv(out, "offset_cycles", run.sample.spec.offset);
-  append_kv(out, "windows", run.sample.windows.size());
-  append_kv(out, "measured_cycles", run.sample.measured_cycles,
-            /*comma=*/false);
-  out += "},\"measured\":{\"bucket_cycles\":{";
-  for (std::size_t b = 0; b < kNumBuckets; ++b) {
-    append_kv(out, to_string(static_cast<CycleBucket>(b)),
-              est.measured_buckets[b], /*comma=*/b + 1 < kNumBuckets);
-  }
-  out += "},\"event_counts\":{";
-  bool first = true;
-  for (std::size_t k = 0; k < kNumEventKinds; ++k) {
-    if (est.measured_events[k] == 0) continue;
-    if (!first) out += ",";
-    first = false;
-    append_kv(out, to_string(static_cast<EventKind>(k)),
-              est.measured_events[k], /*comma=*/false);
-  }
-  out += "}},\"estimates\":{";
-  append_estimate(out, "makespan", est.makespan);
-  out += ",\"buckets\":{";
-  for (std::size_t b = 0; b < kNumBuckets; ++b) {
-    if (b != 0) out += ",";
-    append_estimate(out, to_string(static_cast<CycleBucket>(b)),
-                    est.buckets[b]);
-  }
-  out += "},\"event_counts\":{";
-  first = true;
-  for (std::size_t k = 0; k < kNumEventKinds; ++k) {
-    if (est.measured_events[k] == 0) continue;
-    if (!first) out += ",";
-    first = false;
-    append_estimate(out, to_string(static_cast<EventKind>(k)),
-                    est.event_counts[k]);
-  }
-  out += "}},\"provenance\":{\"exact\":[";
-  first = true;
-  for (const auto& [k, v] : run.counters) {
-    (void)v;
-    if (!first) out += ",";
-    first = false;
-    out += "\"";
-    append_escaped(out, k);
-    out += "\"";
-  }
-  out += "],\"estimated\":[";
-  for (std::size_t b = 0; b < kNumBuckets; ++b) {
-    if (b != 0) out += ",";
-    out += "\"";
-    out += to_string(static_cast<CycleBucket>(b));
-    out += "\"";
-  }
-  for (std::size_t k = 0; k < kNumEventKinds; ++k) {
-    if (est.measured_events[k] == 0) continue;
-    out += ",\"";
-    out += to_string(static_cast<EventKind>(k));
-    out += "\"";
-  }
-  out += "]},";
 }
 
 /// One Perfetto flow arrow: "s" (start) at the parent event, "f" with
@@ -374,7 +291,6 @@ std::string stats_json(const Observer& obs) {
     std::snprintf(buf, sizeof buf, "\"seconds\":%.9f,",
                   cycles_to_seconds(run.makespan));
     out += buf;
-    if (run.sample.enabled) append_sampled_block(out, run);
     out += "\"counters\":{";
     bool first = true;
     for (const auto& [k, v] : run.counters) {
@@ -409,9 +325,7 @@ std::string stats_json(const Observer& obs) {
       append_histogram(out, run.hists[h]);
     }
     out += "},\"breakdown\":[";
-    // Sampled runs keep no per-processor breakdown (their rows would not
-    // satisfy the per-proc conservation rule); the array stays empty.
-    for (ProcId p = 0; p < run.nprocs && !run.breakdown.empty(); ++p) {
+    for (ProcId p = 0; p < run.nprocs; ++p) {
       if (p != 0) out += ",";
       out += "{";
       append_kv(out, "proc", p);
@@ -485,41 +399,6 @@ std::string breakdown_table(const RunRecord& run) {
                   100.0 * static_cast<double>(t[3]) / busy_total,
                   100.0 * static_cast<double>(t[4]) / busy_total,
                   100.0 * static_cast<double>(t[5]) / busy_total);
-    out += buf;
-  }
-  return out;
-}
-
-std::string sample_table(const RunRecord& run) {
-  std::string out;
-  char buf[256];
-  const sample::RunSample& s = run.sample;
-  std::snprintf(buf, sizeof buf,
-                "sampled run: %s (makespan %" PRIu64 " cycles)\n",
-                run.label.c_str(), run.makespan);
-  out += buf;
-  const double pct =
-      run.makespan == 0
-          ? 0.0
-          : 100.0 * static_cast<double>(s.measured_cycles) /
-                static_cast<double>(run.makespan);
-  std::snprintf(buf, sizeof buf,
-                "schedule %s: %zu windows, %" PRIu64
-                " measured cycles (%.2f%% of the run)\n",
-                sample::to_string(s.spec).c_str(), s.windows.size(),
-                s.measured_cycles, pct);
-  out += buf;
-  const sample::RunEstimates est =
-      sample::estimate(s, run.nprocs, run.makespan);
-  std::snprintf(buf, sizeof buf, "%-12s %16s %16s %16s\n", "bucket",
-                "measured", "estimate", "ci95");
-  out += buf;
-  for (std::size_t b = 0; b < kNumBuckets; ++b) {
-    std::snprintf(buf, sizeof buf,
-                  "%-12s %16" PRIu64 " %16" PRIu64 " %16" PRIu64 "\n",
-                  to_string(static_cast<CycleBucket>(b)),
-                  est.measured_buckets[b], est.buckets[b].value,
-                  est.buckets[b].ci95);
     out += buf;
   }
   return out;

@@ -25,7 +25,6 @@ void Observer::attach(const RunConfig& cfg) {
       cfg.adapt.interval > 0 ? "adaptive" : to_string(cfg.scheme);
   cur_.sequential_baseline = cfg.costs.sequential_baseline;
   acct_.assign(cfg.nprocs, BucketCycles{});
-  cur_.sample.reset(sample_spec_);
   cur_.profile = profile::RunProfile{};
   if (profile_on_) {
     cur_.profile.enabled = true;
@@ -54,26 +53,12 @@ void Observer::finish(const Machine& m) {
     // the remainder of the run.
     cur_.breakdown[p][static_cast<std::size_t>(CycleBucket::kIdle)] +=
         cur_.makespan - m.proc_clock(p);
-    if (sample_on_) {
-      // Mirror the trailing idle into the sample windows so each window's
-      // bucket cycles sum to nprocs * window length (the conservation law
-      // the estimator's apportionment and the v5 schema checker rely on).
-      cur_.sample.add_span(m.proc_clock(p), cur_.makespan,
-                           CycleBucket::kIdle);
-    }
     if (profile_on_) {
       // Mirror the trailing idle into the interval timeline so interval
       // bucket cycles always sum to nprocs * makespan.
       cur_.profile.add_cycles(m.proc_clock(p), cur_.makespan,
                               CycleBucket::kIdle);
     }
-  }
-  if (sample_on_) {
-    // Whole-run breakdown rows are not collected under sampling (account()
-    // feeds the windows instead); drop the idle-only husk rather than
-    // export rows that violate the per-proc conservation rule.
-    cur_.sample.finalize(cur_.makespan);
-    cur_.breakdown.clear();
   }
   if (profile_on_) {
     // Join each profiled site to the mechanism the compile-time heuristic

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "olden/profile/profile.hpp"
-#include "olden/sample/sample.hpp"
 #include "olden/support/stats.hpp"
 #include "olden/support/types.hpp"
 #include "olden/trace/streaming_sink.hpp"
@@ -77,12 +76,6 @@ struct RunRecord {
   /// merges worker profiles byte-identically to a serial run.
   profile::RunProfile profile;
 
-  /// SMARTS-style sampled-run window tallies (disabled unless --sample;
-  /// see src/olden/sample/ and docs/SAMPLING.md). Rides here for the same
-  /// reason profile does: adopt_run merges host-parallel worker cells
-  /// byte-identically to a serial run.
-  sample::RunSample sample;
-
   [[nodiscard]] BucketCycles bucket_totals() const {
     BucketCycles t{};
     for (const BucketCycles& b : breakdown) {
@@ -127,21 +120,6 @@ class Observer {
   void set_sink(StreamingTraceSink* sink) { sink_ = sink; }
   [[nodiscard]] StreamingTraceSink* sink() const { return sink_; }
 
-  /// Enable SMARTS-style systematic sampling with the given W:D:offset
-  /// schedule. Outside detail windows the hooks run in functional-warming
-  /// mode: event ids still advance (id stability), but per-event counts,
-  /// cycle attribution, histograms, page heat and profiling are all
-  /// suppressed. Mutually exclusive with tracing and profiling — ObsCli
-  /// enforces that at flag-parse time.
-  void set_sample(const sample::Spec& spec) {
-    sample_spec_ = spec;
-    sample_on_ = spec.enabled();
-  }
-  [[nodiscard]] bool sample_enabled() const { return sample_on_; }
-  [[nodiscard]] const sample::Spec& sample_spec() const {
-    return sample_spec_;
-  }
-
   // --- run lifecycle ------------------------------------------------------
 
   /// Name the next Machine run (call before constructing the Machine).
@@ -185,13 +163,6 @@ class Observer {
                       std::uint64_t chain = kNoChain,
                       std::uint64_t parent = kNoEvent) {
     const std::uint64_t id = next_event_id_++;
-    if (sample_on_) {
-      // Functional warming: the id is consumed (stability contract above)
-      // but the event is only tallied when its stamp falls in a detail
-      // window. Tracing/profiling are excluded under sampling.
-      cur_.sample.add_event(t, k);
-      return id;
-    }
     ++cur_.event_counts[static_cast<std::size_t>(k)];
     if (profile_on_) cur_.profile.on_event(k, t, p, site, a0, a1);
     if (!trace_enabled_) return id;
@@ -218,12 +189,6 @@ class Observer {
   /// *after* the charge (the same convention event stamps use), so the
   /// profiler can split the span [now - c, now) across its intervals.
   void account(ProcId p, Cycles c, CycleBucket b, Cycles now) {
-    if (sample_on_) {
-      // Only the detail-window overlap of the span [now - c, now) is
-      // attributed; whole-run breakdown rows are not kept under sampling.
-      cur_.sample.add_span(now - c, now, b);
-      return;
-    }
     acct_[p][static_cast<std::size_t>(b)] += c;
     if (profile_on_ && c != 0) cur_.profile.add_cycles(now - c, now, b);
   }
@@ -236,22 +201,18 @@ class Observer {
   }
 
   void record(Hist h, std::uint64_t v) {
-    if (sample_on_) return;  // histograms are suppressed under sampling
     cur_.hists[static_cast<std::size_t>(h)].record(v);
   }
 
   /// One software-cache access on processor p touching `page` (page heat;
   /// folded into the kPageHeat histogram at finish()).
   void touch_page(ProcId p, std::uint32_t page) {
-    if (sample_on_) return;  // page heat is suppressed under sampling
     ++page_heat_[(static_cast<std::uint64_t>(p) << 32) | page];
   }
 
  private:
   bool trace_enabled_ = false;
   bool profile_on_ = false;
-  bool sample_on_ = false;
-  sample::Spec sample_spec_;
   Cycles profile_interval_ = profile::kDefaultIntervalCycles;
   std::uint64_t event_limit_ = 1'000'000;
   std::uint64_t events_retained_ = 0;
@@ -301,22 +262,16 @@ bool write_binary_trace(const Observer& obs, const std::string& path,
 /// flips_to_cache, flips_to_migrate, flip_drain_lines,
 /// flip_drain_messages; the per-direction counts provably sum to
 /// scheme_flips) and admits "adaptive" as a run scheme.
-/// v5: adds sampled runs (`sampled: true` with the pinned window
-/// schedule, integer-exact in-window `measured` sums, per-counter
-/// `estimates` with 95% CIs, and an exact-vs-estimated `provenance`
-/// partition; see docs/SAMPLING.md). Exact runs are byte-identical to
-/// v4 apart from the version field.
-inline constexpr int kStatsSchemaVersion = 5;
+/// v5: added sampled runs (a window schedule, in-window sums and
+/// per-counter estimates with 95% CIs).
+/// v6: drops v5's sampled-run keys with the sampling plane. Exact runs
+/// are byte-identical to v4 and v5 apart from the version field.
+inline constexpr int kStatsSchemaVersion = 6;
 [[nodiscard]] std::string stats_json(const Observer& obs);
 bool write_stats_json(const Observer& obs, const std::string& path,
                       std::string* err = nullptr);
 
 /// Human-readable per-processor cycle-breakdown table for one run.
 [[nodiscard]] std::string breakdown_table(const RunRecord& run);
-
-/// Human-readable schedule/estimate summary for one sampled run (printed
-/// by --breakdown in place of the per-processor table, which sampled runs
-/// do not collect).
-[[nodiscard]] std::string sample_table(const RunRecord& run);
 
 }  // namespace olden::trace

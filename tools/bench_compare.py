@@ -2,7 +2,7 @@
 """Compare two BENCH JSON files produced by tools/bench_runner.py.
 
 Usage: bench_compare.py OLD.json NEW.json [--threshold PCT]
-                        [--cell BENCHMARK/SCHEME/NPROCS] [--ci-gate]
+                        [--cell BENCHMARK/SCHEME/NPROCS]
                         [--traces-old DIR --traces-new DIR --analyze BIN]
                         [--diff-top K]
        bench_compare.py --check FILE.json
@@ -37,17 +37,6 @@ changes the exit-code contract below.
 critical-path exactness) without comparing — used by CI on freshly
 generated files before they're trusted as a comparison side.
 
-Cells produced by bench_runner.py --sample carry "sampled": true and a
-makespan_ci95 field (docs/SAMPLING.md). Comparing a sampled cell
-against an exact one is refused by default with a structured
-"SAMPLED MISMATCH" report and exit 6 — the sides measured different
-things, and silently diffing an estimate against an exact value would
-launder sampling error into a pass/fail verdict. Pass --ci-gate to
-authorize the mix: gating then becomes CI-aware, flagging a regression
-only when the makespans' 95% confidence intervals separate by more
-than the threshold (exact cells have zero-width intervals, so
-exact-vs-exact behavior is unchanged).
-
 Exit codes are distinct so CI scripts can tell the failure modes apart:
   0  OK
   1  comparison failed (regression, or a baseline cell missing from NEW)
@@ -58,7 +47,6 @@ Exit codes are distinct so CI scripts can tell the failure modes apart:
      share no cells at all
   5  regression found AND at least one cell's diff attribution was
      attached (--traces-old/--traces-new/--analyze)
-  6  a sampled cell was compared against an exact one without --ci-gate
 
 Stdlib only, so it can run in any CI image.
 """
@@ -81,7 +69,6 @@ EXIT_USAGE = 2
 EXIT_BAD_INPUT = 3
 EXIT_NO_SUCH_CELL = 4
 EXIT_REGRESSION_ATTRIBUTED = 5
-EXIT_SAMPLED_MISMATCH = 6
 
 DIFF_SCHEMA_VERSION = 1
 
@@ -110,9 +97,6 @@ def check_document(doc, path):
             f"{path}: nprocs must be a positive integer")
     cells = doc.get("cells")
     require(isinstance(cells, list) and cells, f"{path}: missing cells")
-    sample = doc.get("sample")
-    require(sample is None or (isinstance(sample, str) and sample),
-            f"{path}: sample, when present, must be a W:D[:OFFSET] string")
     seen = set()
     for cell in cells:
         ctx = (f"{path} cell "
@@ -143,19 +127,6 @@ def check_document(doc, path):
                 f"{ctx}: missing counters")
         require(isinstance(cell.get("miss_rate_percent"), (int, float)),
                 f"{ctx}: missing miss_rate_percent")
-        if "sampled" in cell:
-            require(cell["sampled"] is True,
-                    f"{ctx}: sampled, when present, must be true")
-            require(isinstance(cell.get("makespan_ci95"), int)
-                    and cell["makespan_ci95"] >= 0,
-                    f"{ctx}: sampled cells need a non-negative "
-                    f"makespan_ci95")
-            require(cell.get("critical_path") is None,
-                    f"{ctx}: sampled cells cannot carry a critical path "
-                    f"(per-event emission is suppressed)")
-        else:
-            require("makespan_ci95" not in cell,
-                    f"{ctx}: makespan_ci95 on an exact cell")
         cp = cell.get("critical_path")
         if cp is not None:
             require(cp.get("total_cycles") == cell["makespan_cycles"],
@@ -165,13 +136,6 @@ def check_document(doc, path):
             require(sum(attr.get(k, 0) for k in BUCKET_KEYS)
                     == cp["total_cycles"],
                     f"{ctx}: attribution doesn't sum to the path length")
-        # A document generated under --sample marks every cell; the
-        # reverse is tolerated (a hand-merged subset can mix modes, and
-        # the comparison loop handles the mix per cell).
-        if sample is not None:
-            require("sampled" in cell,
-                    f"{ctx}: document has a sample schedule but this "
-                    f"cell is exact")
     return len(cells)
 
 
@@ -209,44 +173,24 @@ def parse_cell_selector(sel):
     return (parts[0], parts[1], nprocs)
 
 
-def compare(old_doc, new_doc, threshold, only_cell=None, ci_gate=False):
-    """Print the comparison; return (ok, regressed_keys, mismatched)."""
+def compare(old_doc, new_doc, threshold, only_cell=None):
+    """Print the comparison; return (ok, regressed_keys)."""
     old = {cell_key(c): c for c in old_doc["cells"]}
     new = {cell_key(c): c for c in new_doc["cells"]}
     if only_cell is not None:
         old = {k: v for k, v in old.items() if k == only_cell}
         new = {k: v for k, v in new.items() if k == only_cell}
-    regressions, improvements, drifts, mismatched = [], [], [], []
+    regressions, improvements, drifts = [], [], []
     regressed_keys = []
     missing = sorted(set(old) - set(new))
     added = sorted(set(new) - set(old))
     for key in sorted(set(old) & set(new)):
         name = f"{key[0]}/{key[1]}/p={key[2]}"
-        old_sampled = old[key].get("sampled", False)
-        new_sampled = new[key].get("sampled", False)
-        if old_sampled != new_sampled and not ci_gate:
-            # The sides measured different things; diffing an estimate
-            # against an exact value without acknowledging it would
-            # launder sampling error into a pass/fail verdict.
-            mismatched.append(
-                f"{name}: OLD is {'sampled' if old_sampled else 'exact'}, "
-                f"NEW is {'sampled' if new_sampled else 'exact'} — rerun "
-                f"with matching modes or pass --ci-gate")
-            continue
         before = old[key]["makespan_cycles"]
         after = new[key]["makespan_cycles"]
-        ci_before = old[key].get("makespan_ci95", 0)
-        ci_after = new[key].get("makespan_ci95", 0)
         delta = 100.0 * (after - before) / before
         line = f"{name}: {before} -> {after} cycles ({delta:+.2f}%)"
-        if old_sampled or new_sampled:
-            line += f" [ci95 {ci_before} -> {ci_after}]"
-        # CI-aware gating: a regression only counts when the intervals
-        # separate — the worst-credible new makespan still exceeds the
-        # best-credible old one. Exact cells have zero-width intervals,
-        # so exact-vs-exact behavior is exactly the old threshold rule.
-        separated = after - ci_after > before + ci_before
-        if delta > threshold and separated:
+        if delta > threshold:
             regressions.append(line)
             regressed_keys.append(key)
         elif delta < -threshold:
@@ -254,8 +198,7 @@ def compare(old_doc, new_doc, threshold, only_cell=None, ci_gate=False):
         elif after != before:
             drifts.append(line)
 
-    for title, lines in (("SAMPLED MISMATCH", mismatched),
-                         ("REGRESSION", regressions),
+    for title, lines in (("REGRESSION", regressions),
                          ("improvement", improvements),
                          ("drift (within threshold)", drifts)):
         for line in lines:
@@ -265,17 +208,15 @@ def compare(old_doc, new_doc, threshold, only_cell=None, ci_gate=False):
     for key in added:
         print(f"{'new cell':>24}  {key[0]}/{key[1]}/p={key[2]}")
 
-    total = len(set(old) & set(new))
-    compared = total - len(mismatched)
+    compared = len(set(old) & set(new))
     unchanged = compared - len(regressions) - len(improvements) - len(drifts)
     print(f"compared {compared} cells "
           f"({old_doc['revision']} -> {new_doc['revision']}): "
           f"{unchanged} unchanged, {len(drifts)} drifted, "
           f"{len(improvements)} improved, {len(regressions)} regressed, "
-          f"{len(missing)} missing, {len(mismatched)} sampled-mismatched "
-          f"(threshold {threshold:g}%)")
-    ok = not regressions and not missing and not mismatched
-    return ok, regressed_keys, bool(mismatched)
+          f"{len(missing)} missing (threshold {threshold:g}%)")
+    ok = not regressions and not missing
+    return ok, regressed_keys
 
 
 def describe_edge(edge):
@@ -362,10 +303,6 @@ def main(argv):
     args = argv[1:]
     threshold = 5.0
     only_cell = None
-    ci_gate = False
-    if "--ci-gate" in args:
-        args.remove("--ci-gate")
-        ci_gate = True
     if "--check" in args:
         args.remove("--check")
         if len(args) != 1:
@@ -453,14 +390,9 @@ def main(argv):
         print("FAIL: the two files share no cells — nothing to compare",
               file=sys.stderr)
         return EXIT_NO_SUCH_CELL
-    ok, regressed_keys, mismatched = compare(old_doc, new_doc, threshold,
-                                             only_cell, ci_gate)
+    ok, regressed_keys = compare(old_doc, new_doc, threshold, only_cell)
     if ok:
         return EXIT_OK
-    if mismatched:
-        # The mismatch invalidates the comparison itself, so it outranks
-        # any regression found among the cells that did line up.
-        return EXIT_SAMPLED_MISMATCH
     if diff_cfg is not None and regressed_keys:
         attached = attribute_regressions(regressed_keys, diff_cfg)
         if attached > 0:

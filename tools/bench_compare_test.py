@@ -24,15 +24,12 @@ TOOLS_DIR = os.path.dirname(os.path.abspath(__file__))
 BENCH_COMPARE = os.path.join(TOOLS_DIR, "bench_compare.py")
 
 
-def bench_doc(revision, makespans, sample=None, ci95=0):
-    """A schema-valid BENCH document: {benchmark: (scheme, makespan)}.
-
-    With sample="W:D[:OFFSET]" every cell is marked sampled with the
-    given makespan_ci95, mirroring bench_runner.py --sample output."""
+def bench_doc(revision, makespans):
+    """A schema-valid BENCH document: {benchmark: (scheme, makespan)}."""
     cells = []
     for bench, (scheme, makespan) in makespans.items():
         nprocs = 4
-        cell = {
+        cells.append({
             "benchmark": bench,
             "scheme": scheme,
             "nprocs": nprocs,
@@ -46,13 +43,8 @@ def bench_doc(revision, makespans, sample=None, ci95=0):
             },
             "counters": {},
             "miss_rate_percent": 1.0,
-        }
-        if sample is not None:
-            cell["sampled"] = True
-            cell["makespan_ci95"] = ci95
-            cell["critical_path"] = None
-        cells.append(cell)
-    doc = {
+        })
+    return {
         "bench_schema_version": 1,
         "generator": "bench_runner",
         "revision": revision,
@@ -60,9 +52,6 @@ def bench_doc(revision, makespans, sample=None, ci95=0):
         "nprocs": 4,
         "cells": cells,
     }
-    if sample is not None:
-        doc["sample"] = sample
-    return doc
 
 
 DIFF_OK = {
@@ -198,102 +187,6 @@ class BenchCompareTracesTest(unittest.TestCase):
             capture_output=True, text=True)
         self.assert_no_traceback(proc)
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-
-
-class BenchCompareSampledTest(unittest.TestCase):
-    """The sampled-cell contract: schema, exit 6, and --ci-gate gating."""
-
-    def setUp(self):
-        self.tmp = tempfile.TemporaryDirectory(prefix="bench_compare_test_")
-        self.addCleanup(self.tmp.cleanup)
-        self.dir = self.tmp.name
-
-    def write_json(self, name, doc):
-        p = os.path.join(self.dir, name)
-        with open(p, "w", encoding="utf-8") as f:
-            json.dump(doc, f)
-        return p
-
-    def compare(self, old_doc, new_doc, *extra):
-        old = self.write_json("old.json", old_doc)
-        new = self.write_json("new.json", new_doc)
-        return subprocess.run(
-            [sys.executable, BENCH_COMPARE, old, new, *extra],
-            capture_output=True, text=True)
-
-    def test_sampled_document_passes_check(self):
-        doc = self.write_json("sampled.json", bench_doc(
-            "head", {"TreeAdd": ("local", 1000)}, sample="1024:256"))
-        proc = subprocess.run(
-            [sys.executable, BENCH_COMPARE, "--check", doc],
-            capture_output=True, text=True)
-        self.assertNotIn("Traceback", proc.stderr, proc.stderr)
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-
-    def test_ci95_on_exact_cell_is_schema_invalid(self):
-        doc = bench_doc("head", {"TreeAdd": ("local", 1000)})
-        doc["cells"][0]["makespan_ci95"] = 3
-        path = self.write_json("bad.json", doc)
-        proc = subprocess.run(
-            [sys.executable, BENCH_COMPARE, "--check", path],
-            capture_output=True, text=True)
-        self.assertEqual(proc.returncode, 3, proc.stdout + proc.stderr)
-        self.assertIn("makespan_ci95 on an exact cell", proc.stderr)
-
-    def test_sampled_vs_exact_exits_6_with_structured_message(self):
-        proc = self.compare(
-            bench_doc("seed", {"TreeAdd": ("local", 1000)}),
-            bench_doc("head", {"TreeAdd": ("local", 1000)},
-                      sample="1024:256"))
-        self.assertNotIn("Traceback", proc.stderr, proc.stderr)
-        self.assertEqual(proc.returncode, 6, proc.stdout + proc.stderr)
-        self.assertIn("SAMPLED MISMATCH", proc.stdout)
-        self.assertIn("OLD is exact, NEW is sampled", proc.stdout)
-        self.assertIn("--ci-gate", proc.stdout)
-
-    def test_mismatch_outranks_a_regression_elsewhere(self):
-        # MST regresses hard, but TreeAdd's sampled-vs-exact mismatch
-        # invalidates the comparison as a whole: exit 6, not 1.
-        proc = self.compare(
-            bench_doc("seed", {"TreeAdd": ("local", 1000),
-                               "MST": ("local", 1000)}),
-            {**bench_doc("head", {"MST": ("local", 2000)}),
-             "cells": bench_doc("head", {"MST": ("local", 2000)})["cells"]
-             + bench_doc("head", {"TreeAdd": ("local", 1000)},
-                         sample="64:16")["cells"]})
-        self.assertEqual(proc.returncode, 6, proc.stdout + proc.stderr)
-
-    def test_ci_gate_authorizes_the_mix_and_passes_when_equal(self):
-        # Sampled makespans are exact (virtual time is fully known), so a
-        # gated sampled-vs-exact comparison of identical runs is clean.
-        proc = self.compare(
-            bench_doc("seed", {"TreeAdd": ("local", 1000)}),
-            bench_doc("head", {"TreeAdd": ("local", 1000)},
-                      sample="1024:256"),
-            "--ci-gate")
-        self.assertNotIn("Traceback", proc.stderr, proc.stderr)
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-
-    def test_ci_gate_forgives_regressions_inside_the_interval(self):
-        # +50% drift, but the new cell's CI covers the old value: the
-        # intervals don't separate, so no regression is flagged.
-        proc = self.compare(
-            bench_doc("seed", {"TreeAdd": ("local", 1000)}),
-            bench_doc("head", {"TreeAdd": ("local", 1500)},
-                      sample="1024:256", ci95=600),
-            "--ci-gate")
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertIn("drift", proc.stdout)
-
-    def test_ci_gate_still_fails_when_intervals_separate(self):
-        proc = self.compare(
-            bench_doc("seed", {"TreeAdd": ("local", 1000)}),
-            bench_doc("head", {"TreeAdd": ("local", 1500)},
-                      sample="1024:256", ci95=100),
-            "--ci-gate")
-        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
-        self.assertIn("REGRESSION", proc.stdout)
-        self.assertIn("[ci95 0 -> 100]", proc.stdout)
 
 
 if __name__ == "__main__":

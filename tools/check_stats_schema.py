@@ -2,11 +2,10 @@
 """Validate a --stats-json document produced by the Olden bench binaries.
 
 Usage: check_stats_schema.py STATS.json [STATS2.json ...]
-       check_stats_schema.py --sample STATS.json [STATS2.json ...]
        check_stats_schema.py --diff DIFF.json [DIFF2.json ...]
        check_stats_schema.py --profile PROFILE.json [PROFILE2.json ...]
 
-Default mode checks the structural schema (version 5, documented in
+Default mode checks the structural schema (version 6, documented in
 docs/OBSERVABILITY.md) and the arithmetic invariants the exporter
 promises: per-processor cycle buckets sum to the makespan, histogram
 bucket counts sum to the histogram count, event retention arithmetic is
@@ -15,19 +14,6 @@ the aggregate fault counters, and the adaptive-scheme flip counters
 conserve (flips_to_cache + flips_to_migrate == scheme_flips, with all
 five flip counters zero on the three static schemes). Exits non-zero
 with a message on the first violation.
-
-Runs produced under --sample carry a sampled block (docs/SAMPLING.md)
-and get its conservation rules instead of the per-proc breakdown ones:
-the window count and measured-cycle total are re-derived from the
-pinned schedule, in-window bucket cycles sum to nprocs x measured
-cycles, the bucket estimates sum exactly to nprocs x makespan, the
-makespan estimate equals the exact makespan with a zero-width CI, all
-ci95 fields are non-negative, and the provenance lists partition the
-counter set (exact == the machine counters, estimated == the cycle
-buckets plus the window-measured event kinds, disjoint).
-
---sample validates the same schema but additionally requires every run
-to be sampled — CI uses it to assert a sampled cell actually sampled.
 
 --diff validates `olden-analyze --diff --json` documents instead
 (diff_schema_version 1, documented in docs/ANALYSIS.md) and
@@ -52,7 +38,7 @@ Stdlib only, so it can run in any CI image.
 import json
 import sys
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 DIFF_SCHEMA_VERSION = 1
 PROFILE_SCHEMA_VERSION = 1
 
@@ -131,123 +117,6 @@ def check_histogram(name, h, ctx):
             f"{ctx}: bucket counts sum to {total}, header says {h['count']}")
     if h["count"] > 0:
         require(h["min"] <= h["max"], f"{ctx}: min > max")
-
-
-def measured_before(window, detail, offset, t):
-    """Cycles of detailed measurement in [0, t) under a W:D:offset schedule.
-
-    Mirrors sample::measured_before in src/olden/sample/sample.hpp: full
-    windows contribute D cycles each, the partial window min(x mod W, D).
-    """
-    if t <= offset:
-        return 0
-    x = t - offset
-    return (x // window) * detail + min(x % window, detail)
-
-
-def check_estimate(obj, key, ctx):
-    """An {estimate, ci95} pair; both non-negative integers."""
-    require(isinstance(obj.get(key), dict), f"{ctx}: missing {key!r}")
-    est = obj[key]
-    require(list(est.keys()) == ["estimate", "ci95"],
-            f"{ctx}: {key!r} keys must be exactly ['estimate', 'ci95']")
-    for field in ("estimate", "ci95"):
-        check_counter(est, field, f"{ctx} {key!r}")
-    return est
-
-
-def check_sampled_run(run, counters, cfg, ctx):
-    """The sampled block: schedule, measured sums, estimates, provenance."""
-    require(run.get("sampled") is True, f"{ctx}: sampled must be true")
-
-    sched = run.get("sample")
-    require(isinstance(sched, dict), f"{ctx}: missing sample schedule")
-    for key in ("window_cycles", "detail_cycles", "offset_cycles",
-                "windows", "measured_cycles"):
-        check_counter(sched, key, ctx + " sample")
-    window = sched["window_cycles"]
-    detail = sched["detail_cycles"]
-    offset = sched["offset_cycles"]
-    require(window >= 1, f"{ctx}: window_cycles must be >= 1")
-    require(1 <= detail <= window,
-            f"{ctx}: detail_cycles must be in [1, window_cycles]")
-    makespan = run["makespan_cycles"]
-    # Re-derive the schedule arithmetic from the pinned spec alone.
-    want_windows = (max(0, makespan - offset) + window - 1) // window
-    require(sched["windows"] == want_windows,
-            f"{ctx}: schedule says {sched['windows']} windows, "
-            f"ceil((makespan - offset) / window) is {want_windows}")
-    want_measured = measured_before(window, detail, offset, makespan)
-    require(sched["measured_cycles"] == want_measured,
-            f"{ctx}: schedule says {sched['measured_cycles']} measured "
-            f"cycles, the W:D:offset arithmetic gives {want_measured}")
-
-    measured = run.get("measured")
-    require(isinstance(measured, dict), f"{ctx}: missing measured")
-    mbuckets = measured.get("bucket_cycles")
-    require(isinstance(mbuckets, dict),
-            f"{ctx}: missing measured.bucket_cycles")
-    require(list(mbuckets.keys()) == BUCKET_KEYS,
-            f"{ctx}: measured buckets must be exactly {BUCKET_KEYS}, "
-            f"in order")
-    in_window = 0
-    for key in BUCKET_KEYS:
-        check_counter(mbuckets, key, ctx + " measured buckets")
-        in_window += mbuckets[key]
-    want = cfg["nprocs"] * want_measured
-    require(in_window == want,
-            f"{ctx}: in-window bucket cycles sum to {in_window}, nprocs x "
-            f"measured_cycles is {want} — conservation invariant violated")
-    mevents = measured.get("event_counts")
-    require(isinstance(mevents, dict),
-            f"{ctx}: missing measured.event_counts")
-    for key in mevents:
-        check_counter(mevents, key, ctx + " measured events")
-
-    est = run.get("estimates")
-    require(isinstance(est, dict), f"{ctx}: missing estimates")
-    # Virtual time is fully known even between windows, so the makespan
-    # "estimate" is the exact value with a zero-width interval.
-    mk = check_estimate(est, "makespan", ctx + " estimates")
-    require(mk["estimate"] == makespan and mk["ci95"] == 0,
-            f"{ctx}: makespan estimate must be exactly {makespan} with "
-            f"ci95 0, got {mk['estimate']} +/- {mk['ci95']}")
-    ebuckets = est.get("buckets")
-    require(isinstance(ebuckets, dict), f"{ctx}: missing estimates.buckets")
-    require(list(ebuckets.keys()) == BUCKET_KEYS,
-            f"{ctx}: estimate buckets must be exactly {BUCKET_KEYS}, "
-            f"in order")
-    est_sum = 0
-    for key in BUCKET_KEYS:
-        est_sum += check_estimate(ebuckets, key, ctx + " estimates")[
-            "estimate"]
-    want = cfg["nprocs"] * makespan
-    require(est_sum == want,
-            f"{ctx}: bucket estimates sum to {est_sum}, nprocs x makespan "
-            f"is {want} — apportionment invariant violated")
-    eevents = est.get("event_counts")
-    require(isinstance(eevents, dict),
-            f"{ctx}: missing estimates.event_counts")
-    require(list(eevents.keys()) == list(mevents.keys()),
-            f"{ctx}: estimated event kinds disagree with measured kinds")
-    for key in eevents:
-        check_estimate(eevents, key, ctx + " estimates event_counts")
-
-    prov = run.get("provenance")
-    require(isinstance(prov, dict), f"{ctx}: missing provenance")
-    for key in ("exact", "estimated"):
-        require(isinstance(prov.get(key), list)
-                and all(isinstance(s, str) for s in prov[key]),
-                f"{ctx}: provenance.{key} must be a list of strings")
-    require(prov["exact"] == sorted(counters.keys()),
-            f"{ctx}: provenance.exact must list the machine counters")
-    require(prov["estimated"] == BUCKET_KEYS + list(mevents.keys()),
-            f"{ctx}: provenance.estimated must list the cycle buckets "
-            f"then the measured event kinds")
-    overlap = set(prov["exact"]) & set(prov["estimated"])
-    require(not overlap,
-            f"{ctx}: provenance lists overlap on {sorted(overlap)} — "
-            f"each quantity is exact or estimated, never both")
 
 
 def check_run(run, idx):
@@ -329,29 +198,15 @@ def check_run(run, idx):
                 f"{ctx}: {counter} is {counters[counter]}, fault_classes "
                 f"says {classes[cls]['retries']}")
 
-    sampled = "sampled" in run
-    if sampled:
-        check_sampled_run(run, counters, cfg, ctx)
-
     hists = run.get("histograms")
     require(isinstance(hists, dict), f"{ctx}: missing histograms")
-    if sampled:
-        # Functional warming suppresses histogram inputs entirely rather
-        # than recording a biased in-window subset.
-        require(hists == {},
-                f"{ctx}: sampled runs must not emit histograms")
     for name, h in hists.items():
         require(name in HIST_KEYS, f"{ctx}: unknown histogram {name!r}")
         check_histogram(name, h, ctx)
 
     breakdown = run.get("breakdown")
     require(isinstance(breakdown, list), f"{ctx}: missing breakdown")
-    if sampled:
-        # Per-proc rows would claim full-run bucket sums the windows never
-        # observed; a sampled run reports window estimates instead.
-        require(breakdown == [],
-                f"{ctx}: sampled runs must not emit a per-proc breakdown")
-    require(len(breakdown) == (0 if sampled else cfg["nprocs"]),
+    require(len(breakdown) == cfg["nprocs"],
             f"{ctx}: breakdown has {len(breakdown)} rows, nprocs is "
             f"{cfg['nprocs']}")
     for row in breakdown:
@@ -373,13 +228,9 @@ def check_run(run, idx):
             f"{ctx}: missing events.counts")
     check_counter(events, "retained", ctx + " events")
     check_counter(events, "dropped", ctx + " events")
-    if sampled:
-        require(events["counts"] == {} and events["retained"] == 0
-                and events["dropped"] == 0,
-                f"{ctx}: sampled runs must not retain trace events")
 
 
-def check_document(doc, path, require_sampled=False):
+def check_document(doc, path):
     require(isinstance(doc, dict), f"{path}: top level must be an object")
     version = doc.get("schema_version")
     require(isinstance(version, int), f"{path}: missing schema_version")
@@ -395,15 +246,11 @@ def check_document(doc, path, require_sampled=False):
     require(isinstance(runs, list), f"{path}: missing runs array")
     for idx, run in enumerate(runs):
         check_run(run, idx)
-        if require_sampled:
-            require(run.get("sampled") is True,
-                    f"run[{idx}]: --sample mode requires every run to be "
-                    f"sampled, but this one is exact")
     any_dropped = any(run["events"]["dropped"] > 0 for run in runs)
     require(doc["trace_truncated"] == any_dropped,
             f"{path}: trace_truncated is {doc['trace_truncated']}, but "
             f"dropped-event counts say {any_dropped}")
-    return len(runs), sum(1 for run in runs if "sampled" in run)
+    return len(runs)
 
 
 def check_delta_row(row, ctx):
@@ -709,9 +556,6 @@ def main(argv):
     elif args and args[0] == "--profile":
         mode = "profile"
         args = args[1:]
-    elif args and args[0] == "--sample":
-        mode = "sample"
-        args = args[1:]
     if not args:
         print(__doc__.strip(), file=sys.stderr)
         return 2
@@ -724,8 +568,7 @@ def main(argv):
             elif mode == "profile":
                 n = check_profile_document(doc, path)
             else:
-                n, sampled = check_document(
-                    doc, path, require_sampled=(mode == "sample"))
+                n = check_document(doc, path)
         except (OSError, json.JSONDecodeError, SchemaError) as e:
             print(f"FAIL {path}: {e}", file=sys.stderr)
             return 1
@@ -739,9 +582,7 @@ def main(argv):
             print(f"OK   {path}: {n} run(s), profile schema "
                   f"v{PROFILE_SCHEMA_VERSION}, conservation verified")
         else:
-            extra = f", {sampled} sampled" if sampled else ""
-            print(f"OK   {path}: {n} run(s), schema "
-                  f"v{SCHEMA_VERSION}{extra}")
+            print(f"OK   {path}: {n} run(s), schema v{SCHEMA_VERSION}")
     return 0
 
 

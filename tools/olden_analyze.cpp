@@ -36,18 +36,9 @@
 // against observed behaviour. --feedback-out emits the per-site feedback
 // file bench binaries accept back via --heuristic=profile:FILE.
 //
-//   olden-analyze --sampled-stats FILE [--top N]
-//
-// Sampled-stats mode (see sample_report.hpp) reads a v5 stats JSON
-// written by a --sample run and reports, per sampled run: the pinned
-// window schedule and coverage, the cycle-bucket estimates with 95% CIs,
-// and the largest event-count estimates. Exact runs in the document are
-// counted and skipped.
-//
-// Exit codes: 0 success, 1 unreadable/unsupported trace, profile or stats
-// document (including v1 logs and unknown schema versions, named
-// explicitly), missing run labels, or a diff invariant violation, 2 usage
-// error.
+// Exit codes: 0 success, 1 unreadable/unsupported trace or profile
+// (including v1 logs and unknown schema versions, named explicitly),
+// missing run labels, or a diff invariant violation, 2 usage error.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -57,7 +48,6 @@
 #include "olden/analyze/diff.hpp"
 #include "olden/analyze/profile_report.hpp"
 #include "olden/analyze/report.hpp"
-#include "olden/analyze/sample_report.hpp"
 #include "olden/analyze/streaming.hpp"
 #include "olden/profile/profile.hpp"
 #include "olden/trace/observer.hpp"
@@ -69,14 +59,10 @@ void usage(std::FILE* to) {
                "usage: olden-analyze --trace-bin FILE [options]\n"
                "       olden-analyze --diff A B [pairing] [options]\n"
                "       olden-analyze --profile FILE [options]\n"
-               "       olden-analyze --sampled-stats FILE [options]\n"
                "  --trace-bin FILE   binary trace to analyze\n"
                "  --diff A B         diff two traces of the same workload\n"
                "  --profile FILE     report on an interval-sampled profile "
                "JSON\n"
-               "  --sampled-stats FILE\n"
-               "                     report on a v5 stats JSON from a "
-               "--sample run\n"
                "  --feedback-out FILE\n"
                "                     with --profile: write the per-site "
                "feedback\n"
@@ -269,19 +255,6 @@ int run_diff(const std::string& path_a, const std::string& path_b,
   return 0;
 }
 
-int run_sampled_stats(const std::string& path, std::size_t top_n) {
-  olden::analyze::SampledStatsDoc doc;
-  std::string err;
-  if (!olden::analyze::load_sampled_stats(path, &doc, &err)) {
-    std::fprintf(stderr, "olden-analyze: %s: %s\n", path.c_str(),
-                 err.c_str());
-    return 1;
-  }
-  std::fputs(olden::analyze::sample_human_report(doc, top_n).c_str(),
-             stdout);
-  return 0;
-}
-
 int run_profile(const std::string& path, std::size_t top_n,
                 const std::string& feedback_out) {
   olden::profile::ProfileDoc doc;
@@ -324,7 +297,6 @@ int main(int argc, char** argv) {
   std::size_t top_n = 10;
   std::string profile_path;
   std::string feedback_out;
-  std::string sampled_stats_path;
 
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -343,8 +315,6 @@ int main(int argc, char** argv) {
       diff_b = value("--diff");
     } else if (std::strcmp(a, "--profile") == 0) {
       profile_path = value("--profile");
-    } else if (std::strcmp(a, "--sampled-stats") == 0) {
-      sampled_stats_path = value("--sampled-stats");
     } else if (std::strcmp(a, "--feedback-out") == 0) {
       feedback_out = value("--feedback-out");
     } else if (std::strcmp(a, "--run") == 0) {
@@ -378,21 +348,6 @@ int main(int argc, char** argv) {
       usage(stderr);
       return 2;
     }
-  }
-  if (!sampled_stats_path.empty()) {
-    if (diff_mode || !trace_path.empty() || !profile_path.empty()) {
-      std::fprintf(stderr,
-                   "olden-analyze: --sampled-stats is exclusive with "
-                   "--trace-bin/--diff/--profile\n");
-      return 2;
-    }
-    if (!run_label.empty() || !run_a.empty() || !run_b.empty() || stream ||
-        json_stdout || !json_out.empty() || !feedback_out.empty()) {
-      std::fprintf(stderr,
-                   "olden-analyze: --sampled-stats supports only --top\n");
-      return 2;
-    }
-    return run_sampled_stats(sampled_stats_path, top_n);
   }
   if (!profile_path.empty()) {
     if (diff_mode || !trace_path.empty()) {
