@@ -180,7 +180,11 @@ Task<Demand> compute_feeder(Machine& m, GPtr<Feeder> f, double price) {
     total.p += d.p;
     total.q += d.q;
   }
-  co_return total;
+  // Return a copy, not `total`: GCC 12 at -O3 vectorizes `co_return
+  // total` into a {p, q} vector taken from the loop one iteration early,
+  // so every feeder dropped its last lateral. The copy is summed in full.
+  const Demand out = total;
+  co_return out;
 }
 
 struct RootOut {
