@@ -223,6 +223,8 @@ struct MachineStats {
     OLDEN_REQUIRE(retries == retransmissions,
                   "per-class retries do not sum to retransmissions");
   }
+
+  bool operator==(const MachineStats&) const = default;
 };
 
 }  // namespace olden
