@@ -9,7 +9,7 @@ Usage: bench_runner.py [--build-dir DIR] [--out FILE] [--tiny | --paper]
 For every benchmark in the suite (or the --benchmarks subset) this runs
 `bench_cell` across the three coherence schemes with --stats-json and
 a binary trace streamed to disk (--trace-stream), analyzes the trace in
-bounded memory (`olden-analyze --stream --json`), and merges the two
+bounded memory (`olden-analyze --json`), and merges the two
 documents into one cell per (benchmark, scheme): makespan, per-bucket
 cycle totals, key counters, the remote-miss rate, and the critical-path
 attribution. The result is written as a deterministic, sorted JSON file
@@ -161,7 +161,7 @@ def run_benchmark(bench_cell, analyze, name, nprocs, mode, timeout, tmpdir,
         shutil.move(profile_path,
                     os.path.join(keep_profiles, f"{name}.profile.json"))
 
-    proc = run_child([analyze, "--trace-bin", trace_path, "--stream", "--json"],
+    proc = run_child([analyze, "--trace-bin", trace_path, "--json"],
                      f"olden-analyze for {name}", timeout)
     analysis = json.loads(proc.stdout)
     if keep_traces is not None:

@@ -1,31 +1,25 @@
 // olden-analyze: offline trace analysis for Olden binary traces (v2).
 //
-//   olden-analyze --trace-bin FILE [--stream] [--json] [--json-out FILE]
-//                 [--top N]
+//   olden-analyze --trace-bin FILE [--json] [--json-out FILE] [--top N]
 //
-// Reads a binary trace produced by a bench binary's --trace-bin flag and
-// reports, per run: the critical path (total weight always equals the
-// traced makespan; per-edge attribution over compute / migration /
-// cache_stall / coherence / idle), the hottest migration sites, and
-// per-page heat with ping-pong (invalidate-then-refill) detection.
-//
-// --stream analyzes the trace in bounded memory (see streaming.hpp):
-// events are never loaded as a whole, only ~18 packed bytes per event
-// (peaking at ~43 during critical-path extraction) are retained, and the
-// JSON report is byte-identical to the in-memory path. The human report
-// is identical except that the per-edge "heaviest edges" detail is not
-// reconstructed.
+// Reads a binary trace produced by a bench binary's --trace-bin or
+// --trace-stream flag and reports, per run: the critical path (total
+// weight always equals the traced makespan; per-edge attribution over
+// compute / migration / cache_stall / coherence / idle, and the heaviest
+// edges), the hottest migration sites, and per-page heat with ping-pong
+// (invalidate-then-refill) detection. Analysis streams the trace in
+// bounded memory (see streaming.hpp): only ~18 packed bytes per event
+// (peaking at ~43 during critical-path extraction) are retained.
 //
 //   olden-analyze --diff A B [--run LABEL | --run-a LA --run-b LB]
-//                 [--stream] [--json] [--json-out FILE] [--top N]
+//                 [--json] [--json-out FILE] [--top N]
 //
 // Diff mode (see diff.hpp) compares two traces of the same workload and
 // decomposes the makespan delta into per-bucket, per-site, per-page and
 // per-edge contributions, each summing exactly to the delta. Runs are
 // paired index-wise by default, by label with --run, or asymmetrically
 // with --run-a/--run-b (A and B may be the same file, e.g. to diff two
-// schemes recorded in one suite trace). --stream applies to both sides
-// and produces byte-identical output.
+// schemes recorded in one suite trace).
 //
 //   olden-analyze --profile FILE [--top N] [--feedback-out FILE]
 //
@@ -70,8 +64,6 @@ void usage(std::FILE* to) {
                "  --run LABEL        diff the run labeled LABEL from each side\n"
                "  --run-a LABEL      A-side run label (with --run-b; A and B\n"
                "  --run-b LABEL      may then be the same file)\n"
-               "  --stream           single-pass bounded-memory analysis "
-               "(identical JSON)\n"
                "  --json             print the JSON report to stdout\n"
                "  --json-out FILE    also write the JSON report to FILE\n"
                "  --top N            keep the N hottest sites/pages/edges "
@@ -89,77 +81,27 @@ void warn_truncated(const olden::analyze::TraceRun& run) {
                static_cast<unsigned long long>(run.events_dropped));
 }
 
-/// Streaming path: one pass per run, headers retained, events not.
-bool analyze_streamed(const std::string& path, std::size_t top_n,
-                      olden::analyze::TraceFile* file,
-                      std::vector<olden::analyze::RunReport>* reports,
-                      std::string* err) {
-  olden::analyze::TraceStream ts;
-  if (!ts.open(path, err)) return false;
-  file->version = ts.version();
-  std::vector<olden::trace::TraceEvent> batch;
-  constexpr std::size_t kBatch = 1 << 16;
-  olden::analyze::TraceRun run;
-  while (ts.next_run(&run, err)) {
-    warn_truncated(run);
-    olden::analyze::StreamingRunAnalyzer an(run, top_n);
-    while (ts.next_events(&batch, kBatch, err)) {
-      for (const olden::trace::TraceEvent& e : batch) {
-        if (!an.add(e)) break;
-      }
-      if (!an.error().empty()) break;
-    }
-    if (!err->empty()) return false;
-    olden::analyze::RunReport rep;
-    if (!an.finish(&rep, err)) {
-      *err = path + ": run '" + run.label + "': " + *err;
-      return false;
-    }
-    reports->push_back(std::move(rep));
-    file->runs.push_back(run);  // header only; run.events is empty
+/// Analyze every run of one trace file, warning about truncated runs.
+bool analyze_file(const std::string& path, std::size_t top_n,
+                  olden::analyze::TraceFile* file,
+                  std::vector<olden::analyze::RunReport>* reports,
+                  std::vector<olden::analyze::DiffProfile>* profiles,
+                  std::string* err) {
+  if (!olden::analyze::analyze_trace_file(path, top_n, file, reports,
+                                          profiles, err)) {
+    return false;
   }
-  return err->empty();
+  for (const olden::analyze::TraceRun& run : file->runs) warn_truncated(run);
+  return true;
 }
 
-/// Build diff profiles for every run of one trace file, via either
-/// pipeline. The two produce identical profiles (tests hold them to it).
-bool collect_profiles(const std::string& path, bool stream,
+/// Build the diff profile of every run of one trace file.
+bool collect_profiles(const std::string& path,
                       std::vector<olden::analyze::DiffProfile>* out,
                       std::string* err) {
-  if (!stream) {
-    olden::analyze::TraceFile file;
-    if (!olden::analyze::read_binary_trace(path, &file, err)) return false;
-    for (const olden::analyze::TraceRun& run : file.runs) {
-      warn_truncated(run);
-      out->push_back(olden::analyze::diff_profile(run));
-    }
-    return true;
-  }
-  olden::analyze::TraceStream ts;
-  if (!ts.open(path, err)) return false;
-  std::vector<olden::trace::TraceEvent> batch;
-  constexpr std::size_t kBatch = 1 << 16;
-  olden::analyze::TraceRun run;
-  while (ts.next_run(&run, err)) {
-    warn_truncated(run);
-    olden::analyze::StreamingRunAnalyzer an(run, /*top_n=*/0);
-    an.enable_diff_profile();
-    while (ts.next_events(&batch, kBatch, err)) {
-      for (const olden::trace::TraceEvent& e : batch) {
-        if (!an.add(e)) break;
-      }
-      if (!an.error().empty()) break;
-    }
-    if (!err->empty()) return false;
-    olden::analyze::RunReport rep;
-    olden::analyze::DiffProfile profile;
-    if (!an.finish_diff(&rep, &profile, err)) {
-      *err = path + ": run '" + run.label + "': " + *err;
-      return false;
-    }
-    out->push_back(std::move(profile));
-  }
-  return err->empty();
+  olden::analyze::TraceFile file;
+  std::vector<olden::analyze::RunReport> reports;
+  return analyze_file(path, /*top_n=*/0, &file, &reports, out, err);
 }
 
 const olden::analyze::DiffProfile* find_run(
@@ -179,16 +121,13 @@ const olden::analyze::DiffProfile* find_run(
 
 int run_diff(const std::string& path_a, const std::string& path_b,
              const std::string& run_label, const std::string& run_a,
-             const std::string& run_b, bool stream, std::size_t top_n,
-             bool json_stdout, const std::string& json_out) {
+             const std::string& run_b, std::size_t top_n, bool json_stdout,
+             const std::string& json_out) {
   std::vector<olden::analyze::DiffProfile> pa;
   std::vector<olden::analyze::DiffProfile> pb;
   std::string err;
-  if (!collect_profiles(path_a, stream, &pa, &err)) {
-    std::fprintf(stderr, "olden-analyze: %s\n", err.c_str());
-    return 1;
-  }
-  if (!collect_profiles(path_b, stream, &pb, &err)) {
+  if (!collect_profiles(path_a, &pa, &err) ||
+      !collect_profiles(path_b, &pb, &err)) {
     std::fprintf(stderr, "olden-analyze: %s\n", err.c_str());
     return 1;
   }
@@ -293,7 +232,6 @@ int main(int argc, char** argv) {
   bool diff_mode = false;
   std::string json_out;
   bool json_stdout = false;
-  bool stream = false;
   std::size_t top_n = 10;
   std::string profile_path;
   std::string feedback_out;
@@ -323,8 +261,6 @@ int main(int argc, char** argv) {
       run_a = value("--run-a");
     } else if (std::strcmp(a, "--run-b") == 0) {
       run_b = value("--run-b");
-    } else if (std::strcmp(a, "--stream") == 0) {
-      stream = true;
     } else if (std::strcmp(a, "--json") == 0) {
       json_stdout = true;
     } else if (std::strcmp(a, "--json-out") == 0) {
@@ -356,7 +292,7 @@ int main(int argc, char** argv) {
           "olden-analyze: --profile is exclusive with --trace-bin/--diff\n");
       return 2;
     }
-    if (!run_label.empty() || !run_a.empty() || !run_b.empty() || stream ||
+    if (!run_label.empty() || !run_a.empty() || !run_b.empty() ||
         json_stdout || !json_out.empty()) {
       std::fprintf(stderr,
                    "olden-analyze: --profile supports only --top and "
@@ -387,7 +323,7 @@ int main(int argc, char** argv) {
                    "exclusive\n");
       return 2;
     }
-    return run_diff(diff_a, diff_b, run_label, run_a, run_b, stream, top_n,
+    return run_diff(diff_a, diff_b, run_label, run_a, run_b, top_n,
                     json_stdout, json_out);
   }
   if (!run_label.empty() || !run_a.empty() || !run_b.empty()) {
@@ -404,21 +340,9 @@ int main(int argc, char** argv) {
   olden::analyze::TraceFile file;
   std::vector<olden::analyze::RunReport> reports;
   std::string err;
-  if (stream) {
-    if (!analyze_streamed(trace_path, top_n, &file, &reports, &err)) {
-      std::fprintf(stderr, "olden-analyze: %s\n", err.c_str());
-      return 1;
-    }
-  } else {
-    if (!olden::analyze::read_binary_trace(trace_path, &file, &err)) {
-      std::fprintf(stderr, "olden-analyze: %s\n", err.c_str());
-      return 1;
-    }
-    reports.reserve(file.runs.size());
-    for (const olden::analyze::TraceRun& run : file.runs) {
-      warn_truncated(run);
-      reports.push_back(olden::analyze::analyze_run(run, top_n));
-    }
+  if (!analyze_file(trace_path, top_n, &file, &reports, nullptr, &err)) {
+    std::fprintf(stderr, "olden-analyze: %s\n", err.c_str());
+    return 1;
   }
 
   if (json_stdout || !json_out.empty()) {
