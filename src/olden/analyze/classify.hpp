@@ -1,12 +1,9 @@
-// Edge-bucket classification for critical-path extraction.
+// Edge-bucket classification for critical-path extraction
+// (streaming.cpp).
 //
-// Shared by the in-memory extractor (critical_path.cpp) and the
-// bounded-memory streaming analyzer (streaming.cpp): both must attribute
-// identical buckets to identical edges or their reports diverge, so the
-// classification lives in exactly one place. The functions take scalar
-// (kind, arg0 > 0) views of the endpoints rather than whole events
-// because the streaming pass retains only packed per-event fields, never
-// whole events.
+// The functions take scalar (kind, arg0 > 0) views of the endpoints
+// rather than whole events because the analyzer retains only packed
+// per-event fields, never whole events.
 #pragma once
 
 #include "olden/trace/trace.hpp"
@@ -19,8 +16,6 @@ inline constexpr std::uint64_t kNoPage = ~std::uint64_t{0};
 /// The page an event is about, or kNoPage. Only the cache/coherence kinds
 /// carry a page id in arg0; kCacheFlush's arg0 is a line count and the
 /// fault kinds carry processor/sequence payloads, so both map to kNoPage.
-/// Shared by the in-memory and streaming diff-profile builders — per-page
-/// delta attribution must bucket identical events identically in both.
 inline std::uint64_t page_of(trace::EventKind kind, std::uint64_t arg0) {
   using trace::EventKind;
   switch (kind) {

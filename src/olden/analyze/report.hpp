@@ -1,6 +1,7 @@
-// Run-level analyses over a parsed trace, and their human/JSON renderings.
+// Run-level analyses of a trace, and their human/JSON renderings.
 //
-// Built on the causal fields of binary log v2:
+// StreamingRunAnalyzer (streaming.hpp) computes them from the causal
+// fields of binary log v2:
 //   * hottest migration sites — departures grouped by dereference site,
 //     with transit cycles recovered by matching each arrival to its
 //     departure through the parent link,
@@ -57,8 +58,8 @@ struct PageStats {
 /// Index into a per-class retransmit array for a retransmit event's arg0:
 /// the message class is encoded in the upper 32 bits as class + 1 (see
 /// fault_plane.cpp); kNumMsgClasses means "unknown" (pre-encoding traces).
-/// Shared by the in-memory and streaming analyzers and the diff profiler
-/// so every consumer decodes identically.
+/// Shared by the run report and the diff profile so both decode
+/// identically.
 [[nodiscard]] inline std::size_t retransmit_class_index(std::uint64_t arg0) {
   const std::uint64_t cls = arg0 >> 32;
   return cls >= 1 && cls <= kNumMsgClasses ? static_cast<std::size_t>(cls - 1)
@@ -107,9 +108,6 @@ struct RunReport {
   std::uint64_t ping_pong_total = 0;
   FaultSummary faults;
 };
-
-/// Analyze one run, keeping the top_n hottest sites and pages.
-[[nodiscard]] RunReport analyze_run(const TraceRun& run, std::size_t top_n);
 
 /// Human-readable report for one run.
 [[nodiscard]] std::string human_report(const TraceRun& run,

@@ -1,7 +1,7 @@
 // Exporters for the observability layer: Chrome trace_event JSON
-// (Perfetto / chrome://tracing), a compact binary event log, the
-// structured stats JSON document, and the human-readable per-processor
-// cycle-breakdown table.
+// (Perfetto / chrome://tracing), the structured stats JSON document, and
+// the human-readable per-processor cycle-breakdown table. (The binary
+// event log is written by StreamingTraceSink; see write_binary_trace.)
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -112,13 +112,6 @@ void append_histogram(std::string& out, const Histogram& h) {
   out += "]}";
 }
 
-void append_u64le(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out += static_cast<char>((v >> (8 * i)) & 0xff);
-}
-void append_u32le(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out += static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
 /// Name a causal flow arrow after what the child event represents.
 const char* flow_name(EventKind child) {
   switch (child) {
@@ -215,40 +208,6 @@ std::string chrome_trace_json(const Observer& obs) {
 bool write_chrome_trace(const Observer& obs, const std::string& path,
                         std::string* err) {
   return write_file(path, chrome_trace_json(obs), err);
-}
-
-std::string binary_trace_bytes(const Observer& obs) {
-  std::string out;
-  out.append(kBinaryTraceMagic, sizeof kBinaryTraceMagic);
-  append_u32le(out, static_cast<std::uint32_t>(kBinaryTraceVersion));
-  append_u32le(out, static_cast<std::uint32_t>(obs.runs().size()));
-  for (const RunRecord& run : obs.runs()) {
-    append_u32le(out, static_cast<std::uint32_t>(run.label.size()));
-    out += run.label;
-    append_u32le(out, run.nprocs);
-    append_u64le(out, run.makespan);
-    append_u64le(out, run.events_dropped);
-    append_u64le(out, run.events.size());
-    for (const TraceEvent& e : run.events) {
-      append_u64le(out, e.time);
-      append_u32le(out, e.proc);
-      append_u64le(out, e.thread);
-      out += static_cast<char>(e.kind);
-      out.append(3, '\0');
-      append_u32le(out, e.site);
-      append_u64le(out, e.arg0);
-      append_u64le(out, e.arg1);
-      append_u64le(out, e.id);
-      append_u64le(out, e.chain);
-      append_u64le(out, e.parent);
-    }
-  }
-  return out;
-}
-
-bool write_binary_trace(const Observer& obs, const std::string& path,
-                        std::string* err) {
-  return write_file(path, binary_trace_bytes(obs), err);
 }
 
 std::string stats_json(const Observer& obs) {

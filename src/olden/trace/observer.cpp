@@ -6,6 +6,18 @@
 
 namespace olden::trace {
 
+namespace {
+
+/// Replay one retained run into `sink`, the one encoder of the binary
+/// trace format.
+void replay_run(const RunRecord& r, StreamingTraceSink* sink) {
+  sink->begin_run(r.label, r.nprocs);
+  for (const TraceEvent& e : r.events) sink->append(e);
+  sink->end_run(r.makespan, r.events_dropped);
+}
+
+}  // namespace
+
 void Observer::begin_run(std::string label,
                          std::map<std::string, std::string> meta) {
   // A begin_run with no intervening machine just relabels the pending run.
@@ -36,7 +48,7 @@ void Observer::attach(const RunConfig& cfg) {
   next_chain_id_ = 0;
   run_open_ = true;
   // The sink mirrors runs_ exactly: every run gets a header even when
-  // event collection is off (the in-memory export also emits empty runs).
+  // event collection is off (write_binary_trace also emits empty runs).
   if (sink_ != nullptr) sink_->begin_run(cur_.label, cur_.nprocs);
 }
 
@@ -151,9 +163,7 @@ void Observer::adopt_run(RunRecord&& r) {
   }
   events_retained_ += r.events.size();
   if (sink_ != nullptr) {
-    sink_->begin_run(r.label, r.nprocs);
-    for (const TraceEvent& e : r.events) sink_->append(e);
-    sink_->end_run(r.makespan, r.events_dropped);
+    replay_run(r, sink_);
     r.events_streamed = r.events.size();
     r.events.clear();
     r.events.shrink_to_fit();
@@ -165,6 +175,13 @@ void Observer::adopt_runs_from(Observer& donor) {
   for (RunRecord& r : donor.runs_) adopt_run(std::move(r));
   donor.runs_.clear();
   donor.events_retained_ = 0;
+}
+
+bool write_binary_trace(const Observer& obs, const std::string& path,
+                        std::string* err) {
+  StreamingTraceSink sink(path);
+  for (const RunRecord& run : obs.runs()) replay_run(run, &sink);
+  return sink.finalize(err);
 }
 
 }  // namespace olden::trace

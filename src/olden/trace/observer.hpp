@@ -242,8 +242,9 @@ bool write_chrome_trace(const Observer& obs, const std::string& path,
 /// records carrying the causal id/chain/parent fields, and a per-run
 /// header with nprocs, makespan and the dropped-event count (so offline
 /// analysis can refuse truncated traces). v1 logs ("OLDNTRC1") are
-/// detected and rejected by the reader in src/olden/analyze/.
-[[nodiscard]] std::string binary_trace_bytes(const Observer& obs);
+/// detected and rejected by the reader in src/olden/analyze/. Replays the
+/// retained runs through a StreamingTraceSink (observer.cpp), so a file
+/// written here and one streamed during the runs are byte-identical.
 bool write_binary_trace(const Observer& obs, const std::string& path,
                         std::string* err = nullptr);
 // (The v2 format constants — kBinaryTraceVersion, kBinaryTraceMagic,

@@ -1,14 +1,15 @@
-// StreamingTraceSink — the disk-backed twin of Observer::events.
+// StreamingTraceSink — the one encoder of the v2 ("OLDNTRC2") binary
+// trace format, and the disk-backed twin of Observer::events.
 //
 // The in-memory event vector cannot hold a paper-scale run (a 256K-node
 // TreeAdd at p=8 emits millions of events; the full paper suite would need
-// gigabytes of RAM). The sink writes the exact v2 ("OLDNTRC2") byte stream
-// binary_trace_bytes() would have produced, but incrementally: events go
-// through a large private buffer as they are emitted, and the fields a
+// gigabytes of RAM). The sink writes the byte stream incrementally: events
+// go through a large private buffer as they are emitted, and the fields a
 // writer cannot know up front — the file-level run count and each run's
 // makespan / dropped-event / event counts — are back-patched with fseek
-// when the run (or file) closes. A finished file is indistinguishable,
-// byte for byte, from the in-memory export of the same run
+// when the run (or file) closes. write_binary_trace() replays retained
+// runs through a sink too, so a file streamed during the runs and one
+// written after them are identical byte for byte
 // (tests/streaming_trace_test.cpp proves it).
 //
 // Lifecycle (driven by trace::Observer once installed via set_sink()):

@@ -229,10 +229,8 @@ enum class Hist : std::uint8_t {
 inline constexpr std::size_t kNumHists = 6;
 
 // --- binary trace format v2 ("OLDNTRC2") ------------------------------------
-// Shared by the in-memory exporter (export.cpp), the streaming sink
-// (streaming_sink.hpp) and the readers in src/olden/analyze/. The two
-// writers must stay byte-identical; tests/streaming_trace_test.cpp holds
-// them to that.
+// Shared by the one writer (streaming_sink.hpp) and the one reader
+// (src/olden/analyze/trace_reader.hpp).
 
 inline constexpr int kBinaryTraceVersion = 2;
 inline constexpr char kBinaryTraceMagic[8] = {'O', 'L', 'D', 'N',

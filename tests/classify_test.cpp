@@ -1,9 +1,8 @@
 // Table-driven coverage of the analyze/classify.hpp classifiers.
 //
-// The classifiers are the single point where both critical-path
-// extractors (in-memory and streaming) and both diff-profile builders
-// agree on what an edge or event means; a silent fall-through to the
-// default case for a newly added EventKind would skew every report. The
+// The classifiers decide what every critical-path edge and every
+// diff-profile charge means; a silent fall-through to the default case
+// for a newly added EventKind would skew every report. The
 // tables below therefore enumerate all kNumEventKinds kinds explicitly —
 // adding a kind without deciding its classification fails these tests
 // (kExpectations must grow), not just a code review.

@@ -110,7 +110,7 @@ TEST_P(FaultSoak, ChecksumsAndTracesAreStableAcrossSeeds) {
       const BenchResult r = b->run(cfg);
       EXPECT_EQ(r.checksum, clean.checksum)
           << name << " seed " << seed << " rerun " << rerun;
-      bytes[rerun] = trace::binary_trace_bytes(obs);
+      bytes[rerun] = test::trace_bytes(obs);
     }
     EXPECT_EQ(bytes[0], bytes[1]) << name << " seed " << seed;
     EXPECT_EQ(test::fnv1a(bytes[0]), pinned_soak(name, scheme, i))

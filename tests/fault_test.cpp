@@ -11,6 +11,7 @@
 #include "olden/olden.hpp"
 #include "olden/profile/profile.hpp"
 #include "olden/trace/observer.hpp"
+#include "trace_digest.hpp"
 
 namespace olden {
 namespace {
@@ -189,7 +190,7 @@ TEST(FaultPlane, SameSeedReproducesByteIdenticalTraces) {
     cfg.faults = &spec;
     cfg.fault_seed = 7;
     (void)b->run(cfg);
-    bytes[i] = trace::binary_trace_bytes(obs);
+    bytes[i] = test::trace_bytes(obs);
   }
   EXPECT_EQ(bytes[0], bytes[1]);
 }
@@ -266,7 +267,7 @@ TEST(FaultPlane, DisabledSpecIsByteIdenticalToNoSpec) {
       cfg.observer = &obs;
       cfg.faults = specs[i];
       (void)b->run(cfg);
-      traces[i] = trace::binary_trace_bytes(obs);
+      traces[i] = test::trace_bytes(obs);
       stats[i] = trace::stats_json(obs);
       profiles[i] = profile::profile_json(obs);
     }

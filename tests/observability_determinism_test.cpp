@@ -10,6 +10,7 @@
 
 #include "olden/bench/benchmark.hpp"
 #include "olden/trace/observer.hpp"
+#include "trace_digest.hpp"
 
 namespace olden::bench {
 namespace {
@@ -64,7 +65,7 @@ TEST_P(ObservabilityAB, TracingDoesNotPerturbTheRun) {
   EXPECT_EQ(prof.checksum, off.checksum);
   EXPECT_EQ(prof.total_cycles, off.total_cycles);
   EXPECT_EQ(prof.kernel_cycles, off.kernel_cycles);
-  EXPECT_EQ(trace::binary_trace_bytes(obs_prof), trace::binary_trace_bytes(obs));
+  EXPECT_EQ(test::trace_bytes(obs_prof), test::trace_bytes(obs));
   ASSERT_GE(obs_prof.runs().size(), 1u);
   EXPECT_GT(obs_prof.runs().back().profile.total_accesses(), 0u);
 }
@@ -95,7 +96,7 @@ TEST(ObservabilityDeterminism, RepeatedRunsProduceByteIdenticalTraces) {
     cfg.observer = &obs;
     const BenchResult r = b->run(cfg);
     cycles[i] = r.total_cycles;
-    bytes[i] = trace::binary_trace_bytes(obs);
+    bytes[i] = test::trace_bytes(obs);
   }
   EXPECT_EQ(cycles[0], cycles[1]);
   EXPECT_EQ(bytes[0], bytes[1]);

@@ -17,6 +17,7 @@
 #include "olden/profile/profile.hpp"
 #include "olden/profile/profile_reader.hpp"
 #include "olden/trace/observer.hpp"
+#include "trace_digest.hpp"
 
 namespace olden {
 namespace {
@@ -149,7 +150,7 @@ TEST(ProfileZeroPerturbation, ProfilingChangesNoCycleOrTraceByte) {
   EXPECT_EQ(r_on.checksum, bare.checksum);
   EXPECT_EQ(r_on.total_cycles, bare.total_cycles);
   EXPECT_EQ(r_off.total_cycles, bare.total_cycles);
-  EXPECT_EQ(trace::binary_trace_bytes(on), trace::binary_trace_bytes(off));
+  EXPECT_EQ(test::trace_bytes(on), test::trace_bytes(off));
 
   // And the profile actually recorded the run.
   ASSERT_EQ(on.runs().size(), 1u);
