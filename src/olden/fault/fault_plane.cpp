@@ -25,8 +25,12 @@ std::string describe(const WatchdogDiagnostic& d) {
   if (!d.channels.empty()) {
     s += "; unacked per channel:";
     for (const auto& c : d.channels) {
-      s += " " + std::to_string(c.src) + "->" + std::to_string(c.dst) + ":" +
-           std::to_string(c.unacked);
+      s += ' ';
+      s += std::to_string(c.src);
+      s += "->";
+      s += std::to_string(c.dst);
+      s += ':';
+      s += std::to_string(c.unacked);
     }
   }
   return s;
