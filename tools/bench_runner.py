@@ -8,7 +8,7 @@ Usage: bench_runner.py [--build-dir DIR] [--out FILE] [--tiny | --paper]
 
 For every benchmark in the suite (or the --benchmarks subset) this runs
 `bench_cell` across the three coherence schemes with --stats-json and
-a binary trace streamed to disk (--trace-stream), analyzes the trace in
+a binary trace streamed to disk (--trace-bin), analyzes the trace in
 bounded memory (`olden-analyze --json`), and merges the two
 documents into one cell per (benchmark, scheme): makespan, per-bucket
 cycle totals, key counters, the remote-miss rate, and the critical-path
@@ -148,7 +148,7 @@ def run_benchmark(bench_cell, analyze, name, nprocs, mode, timeout, tmpdir,
     trace_path = os.path.join(tmpdir, f"{name}.trace.bin")
     cmd = [bench_cell, f"--benchmark={name}", f"--nprocs={nprocs}",
            f"--schemes={','.join(SCHEMES)}",
-           f"--stats-json={stats_path}", f"--trace-stream={trace_path}"]
+           f"--stats-json={stats_path}", f"--trace-bin={trace_path}"]
     profile_path = os.path.join(tmpdir, f"{name}.profile.json")
     if keep_profiles is not None:
         cmd.append(f"--profile={profile_path}")
