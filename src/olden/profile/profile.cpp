@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "olden/support/io.hpp"
 #include "olden/trace/observer.hpp"
 
 namespace olden::profile {
@@ -143,19 +144,6 @@ void append_kv(std::string& out, const char* key, std::uint64_t v,
   std::snprintf(buf, sizeof buf, "\"%s\":%" PRIu64 "%s", key, v,
                 comma ? "," : "");
   out += buf;
-}
-
-bool write_file(const std::string& path, const std::string& body,
-                std::string* err) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    if (err != nullptr) *err = "cannot open " + path + " for writing";
-    return false;
-  }
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::fclose(f);
-  if (!ok && err != nullptr) *err = "short write to " + path;
-  return ok;
 }
 
 void append_site(std::string& out, const std::string& benchmark, SiteId site,

@@ -337,6 +337,22 @@ TEST(TraceExport, StatsJsonIsWellFormedAndCarriesSchema) {
   EXPECT_NE(json.find("\"breakdown\""), std::string::npos);
 }
 
+TEST(TraceExport, FailedWriteReportsAnError) {
+  // The document fits in stdio's buffer, so /dev/full refuses it only
+  // when the file is closed; that failure must still be reported.
+  if (std::FILE* probe = std::fopen("/dev/full", "wb")) {
+    std::fclose(probe);
+  } else {
+    GTEST_SKIP() << "no /dev/full on this host";
+  }
+  trace::Observer obs;
+  obs.begin_run("walk/p=4");
+  run_observed(obs, 4);
+  std::string err;
+  EXPECT_FALSE(trace::write_stats_json(obs, "/dev/full", &err));
+  EXPECT_NE(err.find("cannot write /dev/full"), std::string::npos) << err;
+}
+
 TEST(TraceExport, BinaryLogFraming) {
   trace::Observer obs;
   obs.set_trace_enabled(true);
