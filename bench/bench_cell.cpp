@@ -29,6 +29,7 @@
 #include "olden/bench/benchmark.hpp"
 #include "olden/bench/obs_cli.hpp"
 #include "olden/profile/feedback.hpp"
+#include "olden/support/io.hpp"
 
 namespace {
 
@@ -71,15 +72,6 @@ bool flag_value(const char* arg, const char* name, std::string* out) {
   const std::size_t n = std::strlen(name);
   if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
   *out = arg + n + 1;
-  return true;
-}
-
-bool parse_uint(const std::string& s, unsigned long* out) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-  }
-  *out = std::strtoul(s.c_str(), nullptr, 10);
   return true;
 }
 
@@ -174,8 +166,8 @@ int main(int argc, char** argv) {
 
   std::string bench_str;
   std::string schemes_str = "local,global,bilateral";
-  unsigned long nprocs = 8;
-  unsigned long jobs = 1;
+  std::uint64_t nprocs = 8;
+  std::uint64_t jobs = 1;
   bool tiny = false;
   bool paper_size = false;
   profile::FeedbackTable feedback;
@@ -193,13 +185,13 @@ int main(int argc, char** argv) {
     } else if (flag_value(argv[i], "--schemes", &v)) {
       schemes_str = v;
     } else if (flag_value(argv[i], "--nprocs", &v)) {
-      if (!parse_uint(v, &nprocs) || nprocs == 0 || nprocs > kMaxProcs) {
+      if (!parse_u64_strict(v, &nprocs) || nprocs == 0 || nprocs > kMaxProcs) {
         std::fprintf(stderr, "bench_cell: --nprocs must be in [1, %u]\n",
                      static_cast<unsigned>(kMaxProcs));
         return 2;
       }
     } else if (flag_value(argv[i], "--jobs", &v)) {
-      if (!parse_uint(v, &jobs) || jobs == 0) {
+      if (!parse_u64_strict(v, &jobs) || jobs == 0) {
         std::fprintf(stderr, "bench_cell: --jobs must be a positive integer\n");
         return 2;
       }
