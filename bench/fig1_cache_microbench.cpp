@@ -9,7 +9,6 @@
 
 #include <cstdio>
 
-#include "olden/bench/obs_cli.hpp"
 #include "olden/cache/software_cache.hpp"
 #include "olden/support/rng.hpp"
 
@@ -117,13 +116,9 @@ void report_chains() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Host-time microbenchmark: no simulated Machine runs, so the uniform
-  // observability flags are accepted (and stripped before google-benchmark
-  // sees argv) but produce documents with zero runs.
-  olden::bench::ObsCli obs;
-  obs.parse(&argc, argv, {"--benchmark_"});
   benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   report_chains();
-  return obs.finish() ? 0 : 1;
+  return 0;
 }

@@ -6,7 +6,6 @@
 //  Figure 4: TreeAdd — two recursive calls combine 90/70 -> 97.
 #include <cstdio>
 
-#include "olden/bench/obs_cli.hpp"
 #include "olden/compiler/analysis.hpp"
 
 using namespace olden;
@@ -23,15 +22,11 @@ void dump(const char* title, const Program& p, std::size_t sites) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  // No Machine runs here (pure compiler analysis) — the observability
-  // flags are still accepted for surface uniformity and produce valid
-  // documents with zero runs.
-  olden::bench::ObsCli obs;
-  obs.parse(&argc, argv);
+int main(int argc, char**) {
+  // Pure compiler analysis: no Machine runs, so there is nothing to
+  // observe and no flag to take.
   if (argc > 1) {
-    std::fprintf(stderr, "usage: fig34_heuristic\n%s",
-                 olden::bench::ObsCli::usage());
+    std::fprintf(stderr, "usage: fig34_heuristic (takes no arguments)\n");
     return 2;
   }
   {
@@ -99,5 +94,5 @@ int main(int argc, char** argv) {
     p.procs.push_back(std::move(ta));
     dump("Defaults: TreeAdd with no hints, 1-(.3)^2 = 91% -> migrate", p, 1);
   }
-  return obs.finish() ? 0 : 1;
+  return 0;
 }

@@ -4,7 +4,6 @@
 // the tables can sweep.
 #include <benchmark/benchmark.h>
 
-#include "olden/bench/obs_cli.hpp"
 #include "olden/compiler/analysis.hpp"
 #include "olden/olden.hpp"
 
@@ -139,14 +138,11 @@ BENCHMARK(BM_HeuristicAnalysis);
 
 int main(int argc, char** argv) {
   // Host-time microbenchmarks create thousands of short-lived Machines;
-  // observing them would distort what is being measured, so the uniform
-  // observability flags are accepted (and stripped before google-benchmark
-  // parses argv) but produce documents with zero runs.
-  olden::bench::ObsCli obs;
-  obs.parse(&argc, argv, {"--benchmark_"});
+  // observing them would distort what is being measured, so no
+  // observability flag is taken.
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return obs.finish() ? 0 : 1;
+  return 0;
 }
