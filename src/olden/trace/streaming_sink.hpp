@@ -3,13 +3,15 @@
 //
 // The in-memory event vector cannot hold a paper-scale run (a 256K-node
 // TreeAdd at p=8 emits millions of events; the full paper suite would need
-// gigabytes of RAM). The sink writes the byte stream incrementally: events
+// gigabytes of RAM), so a bench binary's --trace-bin installs a sink and
+// retains nothing. The sink writes the byte stream incrementally: events
 // go through a large private buffer as they are emitted, and the fields a
 // writer cannot know up front — the file-level run count and each run's
 // makespan / dropped-event / event counts — are back-patched with fseek
 // when the run (or file) closes. write_binary_trace() replays retained
-// runs through a sink too, so a file streamed during the runs and one
-// written after them are identical byte for byte
+// runs through a sink too (--trace-bin does that when --trace keeps the
+// events for the Chrome export), so a file streamed during the runs and
+// one written after them are identical byte for byte
 // (tests/streaming_trace_test.cpp proves it).
 //
 // Lifecycle (driven by trace::Observer once installed via set_sink()):

@@ -158,7 +158,7 @@ TEST(AdoptRuns, MergeReconstructsSerialRecord) {
 }
 
 TEST(AdoptRuns, MergeIntoSinkMatchesSerialBytes) {
-  // --jobs combined with --trace-stream: adopted runs are streamed at
+  // bench_cell --jobs with --trace-bin: adopted runs are streamed at
   // merge time, so the file must still match the serial in-memory export.
   const std::vector<std::pair<std::string, Coherence>> cells = {
       {"TreeAdd", Coherence::kBilateral}, {"MST", Coherence::kBilateral}};
