@@ -1,9 +1,6 @@
 // Regenerates Table 2: sequential time, speedups at 1..32 processors under
 // the heuristic's choices (local-knowledge coherence, as in the paper's
-// runs), the migrate-only speedup at 32 processors, and the adaptive
-// scheme's speedup at 32 processors (--scheme=adaptive semantics: eager-
-// global base, runtime decision table; see docs/ADAPTIVE.md; tune with
-// --adapt-interval/--adapt-hysteresis).
+// runs), and the migrate-only speedup at 32 processors.
 //
 // The paper's numbers are printed alongside for shape comparison — who
 // wins, by roughly what factor, where the M+C benchmarks beat migrate-only.
@@ -82,9 +79,8 @@ int main(int argc, char** argv) {
       "simulated 33 MHz-cycle time%s.\n",
       paper_size ? "" : "; default (scaled) problem sizes");
   std::printf(
-      "%-11s %-4s %9s | %41s | %s | %s\n", "Benchmark", "Mech", "Seq(s)",
-      "speedup at P = 1     2     4     8    16    32", "Migrate-only(32)",
-      "Adaptive(32)");
+      "%-11s %-4s %9s | %41s | %s\n", "Benchmark", "Mech", "Seq(s)",
+      "speedup at P = 1     2     4     8    16    32", "Migrate-only(32)");
 
   const ProcId kProcs[6] = {1, 2, 4, 8, 16, 32};
   for (const Benchmark* b : suite()) {
@@ -129,21 +125,6 @@ int main(int argc, char** argv) {
     const BenchResult rmo = b->run(mo);
     const double mo32 = seq_s / timed_seconds(*b, rmo);
 
-    BenchConfig ad;
-    ad.paper_size = paper_size;
-    ad.nprocs = 32;
-    ad.scheme = Coherence::kEagerGlobal;
-    ad.observer = obs.observer();
-    ad.faults = obs.faults();
-    ad.fault_seed = obs.fault_seed();
-    if (use_feedback) ad.feedback = &feedback;
-    ad.adapt.interval = obs.adapt_interval_set() ? obs.adapt_interval()
-                                                 : kDefaultAdaptInterval;
-    ad.adapt.hysteresis = obs.adapt_hysteresis();
-    obs.begin_run(b->name() + "/p=32/adaptive", {{"benchmark", b->name()}});
-    const BenchResult rad = b->run(ad);
-    const double ad32 = seq_s / timed_seconds(*b, rad);
-
     const PaperRow& pr = kPaper.at(b->name());
     std::printf("%-11s %-4s %8.2fs |", b->name().c_str(), mech.c_str(),
                 seq_s);
@@ -154,8 +135,6 @@ int main(int argc, char** argv) {
     } else {
       std::printf("   n/a (M row)");
     }
-    std::printf(" | %5.2f (%llu flips)", ad32,
-                static_cast<unsigned long long>(rad.stats.scheme_flips));
     std::printf("\n%-11s %-4s %8.2fs |", "  (paper)", "", pr.seq);
     for (double v : pr.speedup) std::printf(" %5.2f", v);
     std::printf(" |\n");

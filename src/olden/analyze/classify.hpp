@@ -57,8 +57,6 @@ inline trace::CycleBucket dst_bucket(trace::EventKind dst_kind,
     case EventKind::kInvalidatePush:
     case EventKind::kTsCheckRequest:
     case EventKind::kTsCheckReply:
-    // An adaptive flip's own cost is its drain — coherence traffic.
-    case EventKind::kSchemeFlip:
       return CycleBucket::kCoherence;
     // The ack closing an invalidation push is protocol overhead.
     case EventKind::kInvalidateAck:

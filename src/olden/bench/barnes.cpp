@@ -642,8 +642,7 @@ class Barnes final : public Benchmark {
                .costs = {.sequential_baseline = cfg.sequential_baseline},
                .observer = cfg.observer,
                .faults = cfg.faults,
-               .fault_seed = cfg.fault_seed,
-               .adapt = cfg.adapt});
+               .fault_seed = cfg.fault_seed});
     m.set_site_mechanisms(site_table(cfg, &res.heuristic_report));
     const RootOut out = run_program(m, root_task(m, spec));
     res.checksum = quantize(out.sum, 1e7);

@@ -54,13 +54,6 @@ struct BenchConfig {
   /// mechanism overrides learned from an earlier profiled run, applied
   /// between the static heuristic and the builder's site_overrides().
   const profile::FeedbackTable* feedback = nullptr;
-  /// Adaptive scheme (--scheme=adaptive): when adapt.interval > 0 the
-  /// machine re-grades every dereference site each interval and flips it
-  /// between caching and migration mid-run. Requires the eager-global
-  /// coherence scheme as its base protocol (Machine::validated enforces
-  /// this); interval == 0 leaves the run byte-identical to the static
-  /// scheme.
-  AdaptiveConfig adapt;
 };
 
 struct BenchResult {

@@ -11,10 +11,6 @@
 //   --breakdown          print per-processor cycle-breakdown tables
 //   --faults=SPEC        fault-injection plan (see fault_spec.hpp grammar)
 //   --fault-seed=N       RNG seed for the fault plane (default 1)
-//   --adapt-interval=N   adaptive-scheme re-grading interval in virtual
-//                        cycles (only meaningful with --scheme=adaptive)
-//   --adapt-hysteresis=K consecutive intervals a site must vote to flip
-//                        before it does (default 2)
 //
 // Malformed values (an empty path, a non-numeric --trace-limit /
 // --fault-seed, a zero or non-numeric --profile-interval, an unparsable
@@ -61,19 +57,6 @@ class ObsCli {
   }
   [[nodiscard]] std::uint64_t fault_seed() const { return fault_seed_; }
 
-  /// Adaptive-scheme knobs (--scheme=adaptive). interval 0 means "use the
-  /// binary's default when the adaptive scheme is selected"; binaries that
-  /// do not offer --scheme simply never read these.
-  [[nodiscard]] std::uint64_t adapt_interval() const {
-    return adapt_interval_;
-  }
-  [[nodiscard]] bool adapt_interval_set() const {
-    return adapt_interval_set_;
-  }
-  [[nodiscard]] std::uint32_t adapt_hysteresis() const {
-    return adapt_hysteresis_;
-  }
-
   /// Label the next Machine run (no-op when inactive).
   void begin_run(std::string label,
                  std::map<std::string, std::string> meta = {});
@@ -97,9 +80,6 @@ class ObsCli {
   std::string profile_path_;
   fault::FaultSpec fault_spec_;
   std::uint64_t fault_seed_ = 1;
-  std::uint64_t adapt_interval_ = 0;
-  bool adapt_interval_set_ = false;
-  std::uint32_t adapt_hysteresis_ = 2;
 };
 
 }  // namespace olden::bench

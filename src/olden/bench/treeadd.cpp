@@ -148,8 +148,7 @@ class TreeAdd final : public Benchmark {
                .costs = {.sequential_baseline = cfg.sequential_baseline},
                .observer = cfg.observer,
                .faults = cfg.faults,
-               .fault_seed = cfg.fault_seed,
-               .adapt = cfg.adapt});
+               .fault_seed = cfg.fault_seed});
     m.set_site_mechanisms(site_table(cfg, &res.heuristic_report));
     const RootOut out = run_program(m, root(m, depth));
     res.checksum = static_cast<std::uint64_t>(out.sum);

@@ -599,8 +599,7 @@ class Voronoi final : public Benchmark {
                .costs = {.sequential_baseline = cfg.sequential_baseline},
                .observer = cfg.observer,
                .faults = cfg.faults,
-               .fault_seed = cfg.fault_seed,
-               .adapt = cfg.adapt});
+               .fault_seed = cfg.fault_seed});
     m.set_site_mechanisms(site_table(cfg, &res.heuristic_report));
     RootOut out;
     run_program(m, voronoi_root(m, pts, out));

@@ -104,62 +104,6 @@ struct Selection {
   [[nodiscard]] std::string report() const;
 };
 
-/// A mutable runtime view over a static Selection.
-///
-/// The adaptive scheme (--scheme=adaptive) flips sites between caching and
-/// migration mid-run, so "what mechanism does site s use?" stops having a
-/// single compile-time answer. This view keeps the static plan intact and
-/// layers the runtime's flips on top: seed it from a Selection, then replay
-/// Machine::scheme_flip_log() through flip() to reconstruct the state the
-/// run ended in. Kept free of runtime headers on purpose — the compiler
-/// layer never includes the machine; callers hand the flip log across.
-class RuntimeSelection {
- public:
-  /// One replayed mid-run transition (mirrors Machine::FlipRecord minus
-  /// the drain accounting, which is a runtime concern).
-  struct Flip {
-    Cycles time = 0;
-    SiteId site = 0;
-    Mechanism to = Mechanism::kCache;
-  };
-
-  explicit RuntimeSelection(const Selection& base)
-      : base_(&base), table_(base.site_table) {}
-
-  /// The mechanism currently in force for `s` (after any replayed flips).
-  [[nodiscard]] Mechanism current(SiteId s) const {
-    return s < table_.size() ? table_[s] : Mechanism::kCache;
-  }
-  /// The compile-time decision for `s`, untouched by flips.
-  [[nodiscard]] Mechanism initial(SiteId s) const { return base_->site(s); }
-
-  /// Record one mid-run flip, growing the table if the runtime touched a
-  /// site the static plan never mentioned.
-  void flip(SiteId site, Mechanism to, Cycles time) {
-    if (site >= table_.size()) table_.resize(site + 1, Mechanism::kCache);
-    table_[site] = to;
-    flips_.push_back(Flip{.time = time, .site = site, .to = to});
-  }
-
-  /// Every replayed flip, in replay order.
-  [[nodiscard]] const std::vector<Flip>& flips() const { return flips_; }
-
-  /// Sites whose current mechanism differs from the compile-time plan.
-  /// Empty when no flips happened (or they all flipped back).
-  [[nodiscard]] std::vector<SiteId> diverged() const {
-    std::vector<SiteId> out;
-    for (SiteId s = 0; s < table_.size(); ++s) {
-      if (table_[s] != base_->site(s)) out.push_back(s);
-    }
-    return out;
-  }
-
- private:
-  const Selection* base_;
-  std::vector<Mechanism> table_;
-  std::vector<Flip> flips_;
-};
-
 /// Run the full analysis. `num_sites` sizes the site table.
 Selection analyze(const Program& program, std::size_t num_sites);
 

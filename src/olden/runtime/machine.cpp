@@ -30,19 +30,6 @@ RunConfig Machine::validated(RunConfig cfg) {
     throw ConfigError("nprocs must be in [1, " + std::to_string(kMaxProcs) +
                       "], got " + std::to_string(cfg.nprocs));
   }
-  if (cfg.adapt.interval > 0) {
-    // The flip drain walks the directory's per-page sharer sets, which
-    // only the eager-global protocol maintains (local knowledge never
-    // registers sharers; bilateral only version-stamps).
-    if (cfg.scheme != Coherence::kEagerGlobal) {
-      throw ConfigError(
-          "the adaptive scheme requires global (eager) coherence as its "
-          "base protocol");
-    }
-    // Hysteresis 0 and 1 are the same machine: a flip needs at least one
-    // window voting for it.
-    if (cfg.adapt.hysteresis == 0) cfg.adapt.hysteresis = 1;
-  }
   return cfg;
 }
 
@@ -58,15 +45,6 @@ Machine::Machine(RunConfig cfg)
   events_.reserve(256);
   if (cfg_.faults != nullptr && cfg_.faults->enabled) {
     fault_ = std::make_unique<fault::FaultPlane>(*cfg_.faults, cfg_.fault_seed);
-  }
-  if (cfg_.adapt.interval > 0) {
-    adapt_on_ = true;
-    // The first decision tick. Ticks self-schedule directly (never via
-    // send_message), so they neither enter the fault plane nor perturb
-    // its injection stream.
-    schedule(Event{.time = cfg_.adapt.interval,
-                   .seq = next_seq_++,
-                   .kind = MsgKind::kAdaptTick});
   }
   if (obs_ != nullptr) obs_->attach(cfg_);
 }
@@ -240,7 +218,6 @@ void Machine::finish_cached_access(CoherenceOp& op, Cycles now) {
     }
   } else if (op.lines_fetched > 0) {
     ++stats_.cache_misses;
-    if (adapt_on_) adapt_note_read(op.site, /*hit=*/false);
     note_event(EventKind::kCacheMiss, p, op.thread, op.site, a.page_id(),
                op.lines_fetched);
     if (obs_ != nullptr) {
@@ -248,7 +225,6 @@ void Machine::finish_cached_access(CoherenceOp& op, Cycles now) {
     }
   } else {
     ++stats_.cache_hits;
-    if (adapt_on_) adapt_note_read(op.site, /*hit=*/true);
     if (op.any_check) ++stats_.timestamp_stalls;
     note_event(EventKind::kCacheHit, p, op.thread, op.site, a.page_id());
   }
@@ -419,10 +395,8 @@ void Machine::apply_invalidate_push(const Event& e) {
   advance_clock_to(e.target, e.time);
   charge_to(e.target, cfg_.costs.invalidate_recv, CycleBucket::kCoherence);
   if (obs_ != nullptr) {
-    obs_->event(EventKind::kLineInvalidate, e.time, e.target,
-                e.thread != nullptr ? e.thread->id : trace::kNoThread,
-                trace::kNoSite, e.parg0, e.parg1,
-                e.thread != nullptr ? e.thread->obs_chain : trace::kNoChain,
+    obs_->event(EventKind::kLineInvalidate, e.time, e.target, e.thread->id,
+                trace::kNoSite, e.parg0, e.parg1, e.thread->obs_chain,
                 e.obs_parent);
   }
 }
@@ -451,8 +425,7 @@ void Machine::on_release(ThreadState& t) {
       // safe. The pushes hang off the thread's current event as siblings.
       info.sharers.for_each([&](ProcId s) {
         if (s == src) return;  // the writer's own copy was updated in place
-        invalidate_sharer(src, s, page, mask, info, &t, t.obs_chain,
-                          t.obs_last_event);
+        invalidate_sharer(t, s, page, mask, info);
       });
       info.dirty_since_bump = 0;
     });
@@ -473,10 +446,9 @@ void Machine::on_release(ThreadState& t) {
   t.write_log.clear();
 }
 
-SoftwareCache::InvalidateResult Machine::invalidate_sharer(
-    ProcId from, ProcId s, std::uint32_t page, std::uint32_t mask,
-    HomePageInfo& info, ThreadState* t, std::uint64_t chain,
-    std::uint64_t parent) {
+void Machine::invalidate_sharer(ThreadState& t, ProcId s, std::uint32_t page,
+                                std::uint32_t mask, HomePageInfo& info) {
+  const ProcId from = t.proc;
   ++stats_.invalidation_messages;
   charge_to(from, cfg_.costs.invalidate_send, CycleBucket::kCoherence);
   const SoftwareCache::InvalidateResult inv =
@@ -489,14 +461,14 @@ SoftwareCache::InvalidateResult Machine::invalidate_sharer(
     // grow and long runs invalidate fully-stale copies forever.
     info.sharers.remove(s);
   }
-  const ThreadId tid = t != nullptr ? t->id : trace::kNoThread;
   if (fault_ == nullptr) {
     charge_to(s, cfg_.costs.invalidate_recv, CycleBucket::kCoherence);
     if (obs_ != nullptr) {
-      obs_->event(EventKind::kLineInvalidate, procs_[s].clock, s, tid,
-                  trace::kNoSite, page, inv.dropped, chain, parent);
+      obs_->event(EventKind::kLineInvalidate, procs_[s].clock, s, t.id,
+                  trace::kNoSite, page, inv.dropped, t.obs_chain,
+                  t.obs_last_event);
     }
-    return inv;
+    return;
   }
   // Under a fault plane the push is an explicit acked wire message: only
   // timing, costs and the receive-side event ride the lossy wire, landing
@@ -504,19 +476,19 @@ SoftwareCache::InvalidateResult Machine::invalidate_sharer(
   std::uint64_t push_ev = trace::kNoEvent;
   if (obs_ != nullptr) {
     push_ev = obs_->event(EventKind::kInvalidatePush, procs_[from].clock, from,
-                          tid, trace::kNoSite, page, s, chain, parent);
+                          t.id, trace::kNoSite, page, s, t.obs_chain,
+                          t.obs_last_event);
   }
   send_message(from, cfg_.costs.coherence_wire,
                Event{.time = procs_[from].clock + cfg_.costs.coherence_wire,
                      .seq = next_seq_++,
                      .kind = MsgKind::kInvalidatePush,
                      .target = s,
-                     .thread = t,
+                     .thread = &t,
                      .src = from,
                      .parg0 = page,
                      .parg1 = inv.dropped,
                      .obs_parent = push_ev});
-  return inv;
 }
 
 void Machine::on_acquire(ProcId p, const ProcSet* writers, ThreadState* t) {
@@ -541,120 +513,6 @@ void Machine::on_acquire(ProcId p, const ProcSet* writers, ThreadState* t) {
                  procs_[p].cache.pages_live());
       break;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive scheme (--scheme=adaptive; see docs/ADAPTIVE.md)
-// ---------------------------------------------------------------------------
-
-void Machine::apply_adapt_tick(const Event& e) {
-  // Decision pass, in SiteId order (the only order that exists — flips
-  // must be deterministic and independent of host iteration artifacts),
-  // grading each window by the rule the offline scoreboard applies.
-  for (SiteId s = 0; s < adapt_sites_.size(); ++s) {
-    AdaptSite& a = adapt_sites_[s];
-    const Mechanism mech = mechanism(s);
-    const Mechanism vote =
-        a.total >= cfg_.adapt.min_samples
-            ? graded_mechanism(mech, a.total, a.local, a.reads, a.hits)
-            : mech;
-    if (vote != mech) {
-      if (++a.streak >= cfg_.adapt.hysteresis) {
-        a.streak = 0;
-        flip_site(s, vote, e.time);
-      }
-    } else {
-      a.streak = 0;
-    }
-    // A fresh window every tick; the page set persists until a drain.
-    a.total = a.local = a.reads = a.hits = 0;
-  }
-  if (!root_done_) {
-    // A thread that never suspends runs its processor far ahead of the
-    // event heap, so this tick may be dispatched "late" (e.time well
-    // behind the clocks). Rescheduling blindly at e.time + interval would
-    // then fire a burst of stale ticks over empty windows, resetting
-    // every hysteresis streak; instead skip forward on the interval grid
-    // past the fastest processor clock. Deterministic: processor clocks
-    // are simulation state, identical on every run.
-    Cycles horizon = 0;
-    for (const Proc& p : procs_) horizon = std::max(horizon, p.clock);
-    Cycles next = e.time + cfg_.adapt.interval;
-    if (next <= horizon) {
-      const Cycles k = (horizon - e.time) / cfg_.adapt.interval + 1;
-      next = e.time + k * cfg_.adapt.interval;
-    }
-    schedule(
-        Event{.time = next, .seq = next_seq_++, .kind = MsgKind::kAdaptTick});
-  }
-}
-
-void Machine::flip_site(SiteId site, Mechanism to, Cycles now) {
-  if (site >= site_mech_.size()) {
-    site_mech_.resize(site + 1, Mechanism::kCache);
-  }
-  site_mech_[site] = to;
-  ++stats_.scheme_flips;
-  const bool to_cache = to == Mechanism::kCache;
-  if (to_cache) {
-    ++stats_.flips_to_cache;
-  } else {
-    ++stats_.flips_to_migrate;
-  }
-
-  // The flip is a first-class trace event on the run's adaptation chain,
-  // parented on the previous flip so --diff and the analyzer can walk the
-  // whole adaptation history as one causal thread. arg1 (pages drained)
-  // is patched into the FlipRecord below; the event itself carries the
-  // page count at emission time via the drain's own child events.
-  std::uint64_t flip_ev = trace::kNoEvent;
-  AdaptSite& a = adapt_sites_[site];
-  if (obs_ != nullptr) {
-    if (adapt_chain_ == trace::kNoChain) adapt_chain_ = obs_->new_chain();
-    flip_ev = obs_->event(EventKind::kSchemeFlip, now, /*p=*/0,
-                          trace::kNoThread, site, to_cache ? 1 : 0,
-                          to_cache ? 0 : a.pages.size(), adapt_chain_,
-                          adapt_last_flip_);
-    adapt_last_flip_ = flip_ev;
-  }
-
-  std::uint64_t drained = 0;
-  if (to_cache) {
-    // Migration -> caching is a clean cold start: the site simply begins
-    // filling lines again; there is no state to reconcile.
-    a.pages.clear();
-    a.last_page = 0xffffffffu;
-  } else {
-    // Caching -> migration must not strand cached lines: every page the
-    // site pulled into a cache is invalidated through the directory,
-    // charged to the cost model like any other eager invalidation round.
-    drained = drain_site_pages(a, flip_ev);
-  }
-  adapt_flips_.push_back(FlipRecord{now, site, to, drained});
-}
-
-std::uint64_t Machine::drain_site_pages(AdaptSite& a, std::uint64_t flip_ev) {
-  std::uint64_t drained = 0;
-  for (const std::uint32_t page : a.pages) {
-    HomePageInfo& info = directory_.page(page);
-    if (info.sharers.empty()) continue;
-    const ProcId home = page_home(page);
-    ++drained;
-    // for_each iterates a snapshot of the set, so pruning mid-loop is
-    // safe (same contract as on_release). No thread initiates this round:
-    // the home directory is the agent, so it pays the sends, and the
-    // pushes hang off the flip on the adaptation chain.
-    info.sharers.for_each([&](ProcId s) {
-      ++stats_.flip_drain_messages;
-      stats_.flip_drain_lines +=
-          invalidate_sharer(home, s, page, 0xffffffffu, info, nullptr,
-                            adapt_chain_, flip_ev)
-              .dropped;
-    });
-  }
-  a.pages.clear();
-  a.last_page = 0xffffffffu;
-  return drained;
 }
 
 // ---------------------------------------------------------------------------
@@ -989,10 +847,6 @@ void Machine::apply(const Event& e) {
     }
     case MsgKind::kInvalidatePush: {
       apply_invalidate_push(e);
-      break;
-    }
-    case MsgKind::kAdaptTick: {
-      apply_adapt_tick(e);
       break;
     }
   }

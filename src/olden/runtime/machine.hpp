@@ -82,26 +82,6 @@ struct FaultSpec;
 class FaultPlane;
 }  // namespace fault
 
-/// The adaptive scheme's knobs (--scheme=adaptive). The run starts from
-/// the static (or profile-seeded) per-site decision table; every
-/// `interval` virtual cycles a decision tick re-grades each site's
-/// windowed access mix by `graded_mechanism` (0.90 local affinity, 0.50
-/// hit-rate floor — the rule the offline scoreboard applies too) and,
-/// after `hysteresis` consecutive windows voting the same way, flips
-/// the site between caching and migration mid-run. interval == 0 never
-/// schedules a tick: the run is byte-identical to its seed scheme.
-struct AdaptiveConfig {
-  Cycles interval = 0;             ///< tick period in virtual cycles; 0 = off
-  std::uint32_t hysteresis = 2;    ///< consecutive voting windows per flip
-  std::uint64_t min_samples = 16;  ///< window accesses below this: no vote
-};
-
-/// Interval the bench CLIs use for --scheme=adaptive when --adapt-interval
-/// is absent: long enough that a window sees a meaningful access mix at the
-/// harness's tiny sizes, short enough that the tiny runs still get several
-/// decision ticks.
-inline constexpr Cycles kDefaultAdaptInterval = 8192;
-
 struct RunConfig {
   ProcId nprocs = 1;
   Coherence scheme = Coherence::kLocalKnowledge;
@@ -118,10 +98,6 @@ struct RunConfig {
   /// Seed for the fault plane's private RNG stream. Workload RNG streams
   /// are separate, so the same program data is computed under any seed.
   std::uint64_t fault_seed = 1;
-  /// Adaptive-scheme machinery. Requires scheme == kEagerGlobal when
-  /// enabled (the flip drain walks the directory's sharer sets, which
-  /// only that protocol maintains).
-  AdaptiveConfig adapt;
 };
 
 class Machine {
@@ -163,34 +139,12 @@ class Machine {
   // --- program construction --------------------------------------------
 
   /// Install the mechanism decision table produced by the heuristic
-  /// (indexed by SiteId). Sites not covered default to kCache. Under the
-  /// adaptive scheme this is only the *initial* table: decision ticks
-  /// mutate it at run time (see scheme_flip_log()).
+  /// (indexed by SiteId). Sites not covered default to kCache.
   void set_site_mechanisms(std::vector<Mechanism> table) {
     site_mech_ = std::move(table);
-    if (adapt_on_ && adapt_sites_.size() < site_mech_.size()) {
-      adapt_sites_.resize(site_mech_.size());
-    }
   }
   [[nodiscard]] Mechanism mechanism(SiteId s) const {
     return s < site_mech_.size() ? site_mech_[s] : Mechanism::kCache;
-  }
-
-  /// One runtime mechanism flip the adaptive scheme performed, in the
-  /// order it happened. `pages_drained` is nonzero only for flips to
-  /// migration (the drain that invalidated the site's cached lines).
-  struct FlipRecord {
-    Cycles time = 0;
-    SiteId site = trace::kNoSite;
-    Mechanism to = Mechanism::kCache;
-    std::uint64_t pages_drained = 0;
-  };
-  /// Every flip this run performed (empty unless --scheme=adaptive with a
-  /// nonzero interval). Together with the initial table this is the
-  /// machine's side of the compiler's mutable runtime view
-  /// (ir::RuntimeSelection replays it over a static Selection).
-  [[nodiscard]] const std::vector<FlipRecord>& scheme_flip_log() const {
-    return adapt_flips_;
   }
 
   /// ALLOC: allocate one T on processor `home` (§2). T must be a
@@ -262,7 +216,6 @@ class Machine {
                                is_write ? profile::AccessClass::kLocalWrite
                                         : profile::AccessClass::kLocalRead);
         }
-        if (adapt_on_) adapt_note_access(site, /*local=*/true);
         return true;
       }
       if (is_write) {
@@ -270,7 +223,6 @@ class Machine {
       } else {
         ++stats_.cacheable_reads_remote;
       }
-      if (adapt_on_) adapt_note_remote(site, a.page_id());
       if (cached_access_fast(cur_proc(), a, buf, size, is_write, site)) {
         return true;
       }
@@ -304,10 +256,8 @@ class Machine {
                              is_write ? profile::AccessClass::kLocalWrite
                                       : profile::AccessClass::kLocalRead);
       }
-      if (adapt_on_) adapt_note_access(site, /*local=*/true);
       return true;
     }
-    if (adapt_on_) adapt_note_access(site, /*local=*/false);
     return false;  // the awaiter suspends and calls migrate_to()
   }
 
@@ -478,8 +428,6 @@ class Machine {
     kInvalidatePush,   ///< eager-release line invalidation, writer -> sharer
     kTsCheckRequest,   ///< bilateral timestamp check, requester -> home
     kTsCheckReply,     ///< timestamp reply (doubles as the request's ack)
-    kAdaptTick,        ///< adaptive-scheme decision tick (self-scheduled;
-                       ///< never enters the fault plane)
   };
 
   struct Event {
@@ -604,16 +552,14 @@ class Machine {
 
   // coherence protocol actions
   void on_release(ThreadState& t);  ///< departing migration / remote resolve
-  /// Invalidate `mask` lines of `page` in sharer `s`'s cache, sent by
-  /// `from` on behalf of thread `t` (null for a flip drain) whose trace
-  /// chain and parent event the receive side hangs off. The cache and
-  /// directory change here, host-synchronously, so checksums cannot
-  /// depend on the wire; without a fault plane the receive side is charged
-  /// inline, with one it rides the wire as a kInvalidatePush.
-  SoftwareCache::InvalidateResult invalidate_sharer(
-      ProcId from, ProcId s, std::uint32_t page, std::uint32_t mask,
-      HomePageInfo& info, ThreadState* t, std::uint64_t chain,
-      std::uint64_t parent);
+  /// Invalidate `mask` lines of `page` in sharer `s`'s cache, sent by the
+  /// releasing thread `t` from its processor; the receive side hangs off
+  /// the thread's chain and current event. The cache and directory change
+  /// here, host-synchronously, so checksums cannot depend on the wire;
+  /// without a fault plane the receive side is charged inline, with one
+  /// it rides the wire as a kInvalidatePush.
+  void invalidate_sharer(ThreadState& t, ProcId s, std::uint32_t page,
+                         std::uint32_t mask, HomePageInfo& info);
   /// Acquire on `p` for thread `t` (trace attribution; may be null).
   /// writers == null => full flush.
   void on_acquire(ProcId p, const ProcSet* writers, ThreadState* t);
@@ -647,75 +593,6 @@ class Machine {
       done += chunk;
     }
   }
-
-  // --- adaptive scheme (cfg_.adapt; see docs/ADAPTIVE.md) ----------------
-  //
-  // The decision data is Machine-owned and deterministic: ticks read only
-  // these windowed counters, never the Observer or RunProfile (those are
-  // observation-only by contract and may be absent). Counters are bumped
-  // on the access hot paths, gated on adapt_on_ so the three static
-  // schemes pay one predictable untaken branch.
-
-  /// One site's row in the runtime decision table: this window's access
-  /// mix, the hysteresis streak, and the sorted set of pages the site's
-  /// cached accesses touched since its last drain.
-  struct AdaptSite {
-    std::uint64_t total = 0;   ///< accesses executed at the site this window
-    std::uint64_t local = 0;   ///< of those, home-local
-    std::uint64_t reads = 0;   ///< remote cacheable reads resolved this window
-    std::uint64_t hits = 0;    ///< of those, cache hits
-    std::uint32_t streak = 0;  ///< consecutive windows voting to flip
-    std::uint32_t last_page = 0xffffffffu;  ///< MRU filter for `pages`
-    std::vector<std::uint32_t> pages;       ///< sorted, deduplicated
-  };
-
-  /// The site's decision row, or null when the site is untracked
-  /// (kNoSite). The table grows on first touch so compiler-unknown sites
-  /// (tests drive the Machine directly) still participate.
-  AdaptSite* adapt_site(SiteId s) {
-    if (s == trace::kNoSite) return nullptr;
-    if (s >= adapt_sites_.size()) adapt_sites_.resize(s + 1);
-    return &adapt_sites_[s];
-  }
-  void adapt_note_access(SiteId s, bool local) {
-    if (AdaptSite* a = adapt_site(s)) {
-      ++a->total;
-      if (local) ++a->local;
-    }
-  }
-  /// A remote access through the caching mechanism: counts toward the
-  /// window and registers the page for a future flip drain.
-  void adapt_note_remote(SiteId s, std::uint32_t page) {
-    AdaptSite* a = adapt_site(s);
-    if (a == nullptr) return;
-    ++a->total;
-    if (a->last_page != page) {
-      a->last_page = page;
-      const auto it =
-          std::lower_bound(a->pages.begin(), a->pages.end(), page);
-      if (it == a->pages.end() || *it != page) a->pages.insert(it, page);
-    }
-  }
-  /// A remote cacheable read resolved (hit or miss) — the hit-rate signal.
-  void adapt_note_read(SiteId s, bool hit) {
-    if (AdaptSite* a = adapt_site(s)) {
-      ++a->reads;
-      if (hit) ++a->hits;
-    }
-  }
-  /// Evaluate every site against the paper's bars and flip the ones whose
-  /// hysteresis streak matured; reschedules the next tick while the
-  /// program is still running.
-  void apply_adapt_tick(const Event& e);
-  /// Perform one flip as a first-class runtime transition: emit the
-  /// kSchemeFlip event (on the run's adaptation chain, parented on the
-  /// previous flip), mutate the decision table, and for flips to
-  /// migration drain the site's cached lines through the directory.
-  void flip_site(SiteId site, Mechanism to, Cycles now);
-  /// Invalidate the site's registered pages on every sharer, charged to
-  /// the cost model (and riding the lossy wire as kInvalidatePush traffic
-  /// under a fault plane). Returns the number of pages drained.
-  std::uint64_t drain_site_pages(AdaptSite& a, std::uint64_t flip_ev);
 
   /// Single-line cached access with the page already resident and not
   /// suspect: the overwhelmingly common case, handled inline. Charges,
@@ -765,7 +642,6 @@ class Machine {
       }
     } else {
       ++stats_.cache_hits;
-      if (adapt_on_) adapt_note_read(site, /*hit=*/true);
       note_event(trace::EventKind::kCacheHit, p, cur_thread_, site, page_id);
     }
     return true;
@@ -840,15 +716,6 @@ class Machine {
   /// pointers guarded by the fault plane's request-table tombstones).
   std::deque<CoherenceOp> coherence_ops_;
   std::vector<CoherenceOp*> coherence_op_free_;
-
-  /// Adaptive scheme (all empty/false unless cfg_.adapt.interval > 0).
-  bool adapt_on_ = false;
-  std::vector<AdaptSite> adapt_sites_;
-  std::vector<FlipRecord> adapt_flips_;
-  /// The run's adaptation chain: every kSchemeFlip rides it, each parented
-  /// on the previous flip (opened lazily at the first flip).
-  std::uint64_t adapt_chain_ = trace::kNoChain;
-  std::uint64_t adapt_last_flip_ = trace::kNoEvent;
 
   Machine* prev_machine_ = nullptr;
   static thread_local Machine* current_;

@@ -65,14 +65,9 @@ enum class EventKind : std::uint8_t {
   kInvalidateAck,    ///< arg0 = page id, arg1 = acking proc (at the sender)
   kTsCheckRequest,   ///< arg0 = page id, arg1 = home proc
   kTsCheckReply,     ///< arg0 = page id, arg1 = home version (at the home)
-  // Adaptive scheme (--scheme=adaptive). Appended after the coherence
-  // kinds so existing binary traces keep their encodings.
-  kSchemeFlip,       ///< arg0 = 1 if migrate->cache else cache->migrate,
-                     ///< arg1 = pages registered for draining (0 for
-                     ///< flips to caching); site = the flipped site
 };
 
-inline constexpr std::size_t kNumEventKinds = 28;
+inline constexpr std::size_t kNumEventKinds = 27;
 
 [[nodiscard]] constexpr const char* to_string(EventKind k) {
   switch (k) {
@@ -103,7 +98,6 @@ inline constexpr std::size_t kNumEventKinds = 28;
     case EventKind::kInvalidateAck: return "invalidate_ack";
     case EventKind::kTsCheckRequest: return "ts_check_request";
     case EventKind::kTsCheckReply: return "ts_check_reply";
-    case EventKind::kSchemeFlip: return "scheme_flip";
   }
   return "?";
 }

@@ -86,10 +86,6 @@ constexpr KindExpectation kExpectations[] = {
      CycleBucket::kCoherence, true},
     {EventKind::kTsCheckReply, CycleBucket::kCoherence,
      CycleBucket::kCoherence, true},
-    // An adaptive flip's cost is its drain — coherence work. arg0 is the
-    // flip direction flag, never a page id.
-    {EventKind::kSchemeFlip, CycleBucket::kCoherence, CycleBucket::kCoherence,
-     false},
 };
 
 // The compile-time guard: a new EventKind fails the build here until a

@@ -48,32 +48,6 @@ TEST(ConfigValidation, AcceptsTheFullValidRange) {
   EXPECT_NO_THROW(Machine({.nprocs = kMaxProcs}));
 }
 
-TEST(ConfigValidation, AdaptiveRequiresEagerGlobalCoherence) {
-  // The flip drain walks the directory's sharer sets, which only the
-  // eager-global protocol maintains; an enabled adaptive config on any
-  // other base is a configuration error, not a silent no-op drain.
-  RunConfig cfg{.nprocs = 4};
-  cfg.adapt.interval = 1024;
-  cfg.scheme = Coherence::kLocalKnowledge;
-  EXPECT_THROW(Machine{cfg}, ConfigError);
-  cfg.scheme = Coherence::kBilateral;
-  EXPECT_THROW(Machine{cfg}, ConfigError);
-  cfg.scheme = Coherence::kEagerGlobal;
-  EXPECT_NO_THROW(Machine{cfg});
-  // interval == 0 is "adaptive off": any base scheme is fine.
-  cfg.adapt.interval = 0;
-  cfg.scheme = Coherence::kLocalKnowledge;
-  EXPECT_NO_THROW(Machine{cfg});
-}
-
-TEST(ConfigValidation, AdaptiveHysteresisZeroIsNormalizedToOne) {
-  RunConfig cfg{.nprocs = 2, .scheme = Coherence::kEagerGlobal};
-  cfg.adapt.interval = 4096;
-  cfg.adapt.hysteresis = 0;
-  Machine m{cfg};
-  EXPECT_EQ(m.config().adapt.hysteresis, 1u);
-}
-
 // --- leak-free teardown ---------------------------------------------------
 
 Task<std::int64_t> idle_body(Machine&) { co_return 7; }

@@ -26,16 +26,14 @@ namespace {
 struct SchemeUnderTest {
   const char* name;  ///< as the stats document's run "scheme" spells it
   Coherence scheme;
-  bool adaptive;
 };
 
 void PrintTo(const SchemeUnderTest& s, std::ostream* os) { *os << s.name; }
 
 const SchemeUnderTest kSchemes[] = {
-    {"local", Coherence::kLocalKnowledge, false},
-    {"global", Coherence::kEagerGlobal, false},
-    {"bilateral", Coherence::kBilateral, false},
-    {"adaptive", Coherence::kEagerGlobal, true},
+    {"local", Coherence::kLocalKnowledge},
+    {"global", Coherence::kEagerGlobal},
+    {"bilateral", Coherence::kBilateral},
 };
 
 void expect_record_agrees(const trace::RunRecord& r, const BenchResult& run,
@@ -79,7 +77,6 @@ void expect_record_agrees(const trace::RunRecord& r, const BenchResult& run,
   EXPECT_EQ(events(EventKind::kFutureSteal), c("futures_stolen"));
   EXPECT_EQ(events(EventKind::kTouchBlock), c("touches_blocked"));
   EXPECT_EQ(events(EventKind::kCacheFlush), c("cache_flushes"));
-  EXPECT_EQ(events(EventKind::kSchemeFlip), c("scheme_flips"));
   EXPECT_EQ(events(EventKind::kFaultDrop), c("fault_drops"));
   EXPECT_EQ(events(EventKind::kFaultDuplicate), c("fault_duplicates"));
   EXPECT_EQ(events(EventKind::kRetransmit), c("retransmissions"));
@@ -122,7 +119,6 @@ TEST_P(ExactStats, ObserverAgreesWithMachine) {
     cfg.tiny = true;
     cfg.faults = faults;
     cfg.fault_seed = 21;
-    if (scheme.adaptive) cfg.adapt.interval = 4096;
     const BenchResult off = b->run(cfg);
 
     trace::Observer obs;

@@ -398,42 +398,5 @@ TEST(Heuristic, JoinAveragesTwoSidedUpdates) {
   EXPECT_NEAR(l->matrix.get("t", "t").value(), 0.80, 1e-12);  // (90+70)/2
 }
 
-// --- RuntimeSelection: the adaptive scheme's mutable view ------------------
-
-TEST(RuntimeSelection, ReplaysFlipsOverTheStaticPlan) {
-  const Selection sel = analyze(figure3(), 3);
-  // Static plan for Figure 3: s (site 0) migrates, t and u cache.
-  ASSERT_EQ(sel.site(0), Mechanism::kMigrate);
-  ASSERT_EQ(sel.site(1), Mechanism::kCache);
-
-  RuntimeSelection rt(sel);
-  EXPECT_EQ(rt.current(0), Mechanism::kMigrate);
-  EXPECT_EQ(rt.current(1), Mechanism::kCache);
-  EXPECT_TRUE(rt.diverged().empty());
-  EXPECT_TRUE(rt.flips().empty());
-
-  // Replay the shape of a Machine::scheme_flip_log(): site 0 demotes to
-  // caching mid-run, site 1 promotes to migration, then site 1 flips back.
-  rt.flip(0, Mechanism::kCache, 5000);
-  rt.flip(1, Mechanism::kMigrate, 9000);
-  EXPECT_EQ(rt.current(0), Mechanism::kCache);
-  EXPECT_EQ(rt.current(1), Mechanism::kMigrate);
-  EXPECT_EQ(rt.initial(0), Mechanism::kMigrate);  // static plan untouched
-  EXPECT_EQ((std::vector<SiteId>{0, 1}), rt.diverged());
-
-  rt.flip(1, Mechanism::kCache, 12000);
-  EXPECT_EQ((std::vector<SiteId>{0}), rt.diverged());
-  ASSERT_EQ(rt.flips().size(), 3u);
-  EXPECT_EQ(rt.flips()[2].time, 12000u);
-  EXPECT_EQ(rt.flips()[2].site, 1u);
-
-  // A flip on a site the static plan never mentioned grows the view; the
-  // gap fills with the default (cache), matching Selection::site.
-  rt.flip(7, Mechanism::kMigrate, 15000);
-  EXPECT_EQ(rt.current(7), Mechanism::kMigrate);
-  EXPECT_EQ(rt.current(5), Mechanism::kCache);
-  EXPECT_EQ(rt.initial(7), Mechanism::kCache);
-}
-
 }  // namespace
 }  // namespace olden::ir

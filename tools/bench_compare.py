@@ -60,7 +60,7 @@ BENCH_SCHEMA_VERSION = 1
 
 BUCKET_KEYS = ["compute", "migration", "cache_stall", "coherence", "idle"]
 
-SCHEMES = {"local", "global", "bilateral", "adaptive"}
+SCHEMES = {"local", "global", "bilateral"}
 
 
 EXIT_OK = 0

@@ -179,14 +179,16 @@ class BenchCompareTracesTest(unittest.TestCase):
         self.assert_no_traceback(proc)
         self.assertEqual(proc.returncode, 4, proc.stdout + proc.stderr)
 
-    def test_adaptive_is_a_valid_scheme(self):
+    def test_check_rejects_an_adaptive_cell(self):
+        # The adaptive scheme was removed; a cell claiming it is invalid.
         doc = self.write_json("adaptive.json", bench_doc("head", {
             "TreeAdd": ("adaptive", 1000)}))
         proc = subprocess.run(
             [sys.executable, BENCH_COMPARE, "--check", doc],
             capture_output=True, text=True)
         self.assert_no_traceback(proc)
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertEqual(proc.returncode, 3, proc.stdout + proc.stderr)
+        self.assertIn("scheme must be one of", proc.stderr)
 
 
 if __name__ == "__main__":
