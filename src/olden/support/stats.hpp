@@ -81,20 +81,6 @@ struct MachineStats {
   std::uint64_t invalidation_messages = 0;
   std::uint64_t tracked_writes = 0;
 
-  // --- adaptive scheme (--scheme=adaptive; all zero otherwise) ------------
-  /// Runtime mechanism flips the adaptive decision table performed.
-  std::uint64_t scheme_flips = 0;
-  /// Flips migrate->cache (cold start; no traffic).
-  std::uint64_t flips_to_cache = 0;
-  /// Flips cache->migrate (each drains the site's cached lines).
-  std::uint64_t flips_to_migrate = 0;
-  /// Valid lines dropped by flip drains (also counted in
-  /// `lines_invalidated`).
-  std::uint64_t flip_drain_lines = 0;
-  /// Per-sharer invalidation messages sent by flip drains (also counted in
-  /// `invalidation_messages`).
-  std::uint64_t flip_drain_messages = 0;
-
   // --- cache occupancy ----------------------------------------------------
   std::uint64_t pages_cached = 0;  ///< distinct (proc, page) entries created
 
@@ -187,14 +173,6 @@ struct MachineStats {
                   "a future was consumed both inline and by stealing");
     OLDEN_REQUIRE(touches_blocked <= futurecalls,
                   "more blocked touches than futures");
-    // Adaptive scheme: every flip has exactly one direction, and flip
-    // drains are a subset of the aggregate coherence traffic.
-    OLDEN_REQUIRE(flips_to_cache + flips_to_migrate == scheme_flips,
-                  "per-direction flips do not sum to scheme_flips");
-    OLDEN_REQUIRE(flip_drain_lines <= lines_invalidated,
-                  "flip drains dropped more lines than were invalidated");
-    OLDEN_REQUIRE(flip_drain_messages <= invalidation_messages,
-                  "flip drains sent more messages than were counted");
     // Fault plane: every suppressed arrival is a surplus copy, and surplus
     // copies only come from injected duplicates or (spurious) retransmits.
     OLDEN_REQUIRE(duplicates_suppressed <= fault_duplicates + retransmissions,

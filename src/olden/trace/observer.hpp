@@ -259,15 +259,15 @@ bool write_binary_trace(const Observer& obs, const std::string& path,
 /// replies_ignored, fills_retried, invalidations_retried,
 /// ts_checks_retried) and the per-run `fault_classes` object splitting
 /// sent/drops/dups/delays/retries by message class.
-/// v4: adds the adaptive-scheme flip counters (scheme_flips,
-/// flips_to_cache, flips_to_migrate, flip_drain_lines,
-/// flip_drain_messages; the per-direction counts provably sum to
-/// scheme_flips) and admits "adaptive" as a run scheme.
+/// v4: added five counters of a fourth, run-time re-deciding scheme and
+/// admitted its name as a run scheme.
 /// v5: added sampled runs (a window schedule, in-window sums and
 /// per-counter estimates with 95% CIs).
 /// v6: drops v5's sampled-run keys with the sampling plane. Exact runs
 /// are byte-identical to v4 and v5 apart from the version field.
-inline constexpr int kStatsSchemaVersion = 6;
+/// v7: drops v4's five counters and scheme name with that scheme. A
+/// static run's document is v6's with those five keys removed.
+inline constexpr int kStatsSchemaVersion = 7;
 [[nodiscard]] std::string stats_json(const Observer& obs);
 bool write_stats_json(const Observer& obs, const std::string& path,
                       std::string* err = nullptr);

@@ -326,9 +326,8 @@ TEST(TraceExport, StatsJsonIsWellFormedAndCarriesSchema) {
   run_observed(obs, 4);
   const std::string json = trace::stats_json(obs);
   EXPECT_TRUE(JsonChecker(json).valid()) << json.substr(0, 400);
-  EXPECT_NE(json.find("\"schema_version\":6"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":7"), std::string::npos);
   EXPECT_NE(json.find("\"fault_classes\""), std::string::npos);
-  EXPECT_NE(json.find("\"scheme_flips\""), std::string::npos);
   EXPECT_NE(json.find("\"coherence_requests\""), std::string::npos);
   EXPECT_NE(json.find("\"label\":\"walk/p=4\""), std::string::npos);
   EXPECT_NE(json.find("\"benchmark\":\"walk\""), std::string::npos);

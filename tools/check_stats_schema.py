@@ -5,15 +5,13 @@ Usage: check_stats_schema.py STATS.json [STATS2.json ...]
        check_stats_schema.py --diff DIFF.json [DIFF2.json ...]
        check_stats_schema.py --profile PROFILE.json [PROFILE2.json ...]
 
-Default mode checks the structural schema (version 6, documented in
+Default mode checks the structural schema (version 7, documented in
 docs/OBSERVABILITY.md) and the arithmetic invariants the exporter
 promises: per-processor cycle buckets sum to the makespan, histogram
 bucket counts sum to the histogram count, event retention arithmetic is
-consistent, the per-message-class fault decomposition sums exactly to
-the aggregate fault counters, and the adaptive-scheme flip counters
-conserve (flips_to_cache + flips_to_migrate == scheme_flips, with all
-five flip counters zero on the three static schemes). Exits non-zero
-with a message on the first violation.
+consistent, and the per-message-class fault decomposition sums exactly
+to the aggregate fault counters. Exits non-zero with a message on the
+first violation.
 
 --diff validates `olden-analyze --diff --json` documents instead
 (diff_schema_version 1, documented in docs/ANALYSIS.md) and
@@ -38,7 +36,7 @@ Stdlib only, so it can run in any CI image.
 import json
 import sys
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 DIFF_SCHEMA_VERSION = 1
 PROFILE_SCHEMA_VERSION = 1
 
@@ -64,8 +62,6 @@ COUNTER_KEYS = {
     "coherence_requests", "replies_ignored",
     "fills_retried", "invalidations_retried", "ts_checks_retried",
     "threads_created", "makespan_cycles",
-    "scheme_flips", "flips_to_cache", "flips_to_migrate",
-    "flip_drain_lines", "flip_drain_messages",
 }
 
 BUCKET_KEYS = ["compute", "migration", "cache_stall", "coherence", "idle",
@@ -76,7 +72,7 @@ HIST_KEYS = {
     "miss_fill_cycles", "ready_queue_depth", "worklist_depth", "page_heat",
 }
 
-SCHEMES = {"local", "global", "bilateral", "adaptive"}
+SCHEMES = {"local", "global", "bilateral"}
 
 
 class SchemaError(Exception):
@@ -154,19 +150,6 @@ def check_run(run, idx):
             f"{ctx}: more duplicates suppressed than were ever created")
     require(counters["coherence_requests"] <= counters["fault_messages"],
             f"{ctx}: more coherence requests than wire messages")
-    # Flip-counter conservation: every flip went exactly one direction,
-    # drains happen only on flips, and a static scheme never flips.
-    require(counters["flips_to_cache"] + counters["flips_to_migrate"]
-            == counters["scheme_flips"],
-            f"{ctx}: flips_to_cache + flips_to_migrate != scheme_flips")
-    if counters["scheme_flips"] == 0:
-        for key in ("flip_drain_lines", "flip_drain_messages"):
-            require(counters[key] == 0,
-                    f"{ctx}: {key} nonzero without any scheme flip")
-    if cfg.get("scheme") != "adaptive":
-        require(counters["scheme_flips"] == 0,
-                f"{ctx}: scheme_flips nonzero on static scheme "
-                f"{cfg.get('scheme')!r}")
 
     classes = run.get("fault_classes")
     require(isinstance(classes, dict), f"{ctx}: missing fault_classes")
