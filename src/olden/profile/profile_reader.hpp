@@ -91,7 +91,8 @@ struct ProfileDoc {
 bool parse_profile_json(const std::string& text, ProfileDoc* doc,
                         std::string* err = nullptr);
 
-/// parse_profile_json() for the contents of `path`.
+/// parse_profile_json() for the contents of `path`. Every error message
+/// names `path`.
 bool load_profile_file(const std::string& path, ProfileDoc* doc,
                        std::string* err = nullptr);
 

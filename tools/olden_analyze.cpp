@@ -194,8 +194,8 @@ int run_profile(const std::string& path, std::size_t top_n,
   olden::profile::ProfileDoc doc;
   std::string err;
   if (!olden::profile::load_profile_file(path, &doc, &err)) {
-    std::fprintf(stderr, "olden-analyze: %s: %s\n", path.c_str(),
-                 err.c_str());
+    // The loader's messages already name the file.
+    std::fprintf(stderr, "olden-analyze: %s\n", err.c_str());
     return 1;
   }
   std::fputs(olden::analyze::profile_human_report(doc, top_n).c_str(),

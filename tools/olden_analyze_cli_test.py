@@ -5,7 +5,9 @@ Usage: olden_analyze_cli_test.py OLDEN_ANALYZE BENCH_CELL
 
 bench_cell writes a tiny TreeAdd trace; olden-analyze must then reject a
 malformed --top with exit 2 and a message naming the flag, and report a
-JSON report it could not write (/dev/full) with exit 1.
+JSON report it could not write (/dev/full) with exit 1. --profile must
+reject a 200,000-deep document and a missing file with exit 1 and one
+message naming the file once, never a signal.
 
 Stdlib only; registered with ctest from tools/CMakeLists.txt.
 """
@@ -49,6 +51,27 @@ class OldenAnalyzeCliTest(unittest.TestCase):
         proc = self.analyze("--json-out", "/dev/full")
         self.assertEqual(proc.returncode, 1, proc.stderr)
         self.assertIn("cannot write /dev/full", proc.stderr)
+
+    def profile(self, path):
+        return subprocess.run([ANALYZE, "--profile", path],
+                              capture_output=True, text=True)
+
+    def test_deeply_nested_profile_exits_1(self):
+        for opener in ["[", '{"a":']:
+            with self.subTest(opener=opener):
+                path = os.path.join(self.tmp.name, "deep.json")
+                with open(path, "w", encoding="utf-8") as f:
+                    f.write(opener * 200000)
+                proc = self.profile(path)
+                self.assertEqual(proc.returncode, 1, proc.stderr)
+                self.assertIn("nesting deeper than", proc.stderr)
+
+    def test_missing_profile_names_the_path_once(self):
+        path = os.path.join(self.tmp.name, "nonexistent.json")
+        proc = self.profile(path)
+        self.assertEqual(proc.returncode, 1, proc.stderr)
+        self.assertEqual(proc.stderr,
+                         f"olden-analyze: cannot open {path}\n")
 
 
 if __name__ == "__main__":
