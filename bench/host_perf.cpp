@@ -61,28 +61,6 @@ struct CellTiming {
   std::string error;
 };
 
-bool flag_value(const char* arg, const char* name, std::string* out) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  *out = arg + n + 1;
-  return true;
-}
-
-std::vector<std::string> split_commas(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t comma = s.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(s.substr(start));
-      break;
-    }
-    out.push_back(s.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
 void usage(std::FILE* to) {
   std::fprintf(to,
                "usage: host_perf [options]\n"
@@ -97,17 +75,6 @@ void usage(std::FILE* to) {
                "                     is noisier under a loaded pool)\n"
                "  --json=FILE        write the schema-versioned timing "
                "document\n");
-}
-
-std::string json_escape_nothing_needed(const std::string& s) {
-  // Benchmark and scheme names are [A-Za-z0-9]; keep the writer honest.
-  for (char c : s) {
-    if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) {
-      std::fprintf(stderr, "host_perf: unexpected character in label\n");
-      std::exit(1);
-    }
-  }
-  return s;
 }
 
 }  // namespace
@@ -273,32 +240,36 @@ int main(int argc, char** argv) {
               "TOTAL", "", total_best_ms, cells.size(), repeat, nprocs);
 
   if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "host_perf: cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n \"host_bench_schema_version\": %d,\n"
-                 " \"generator\": \"host_perf\",\n"
-                 " \"mode\": \"tiny\",\n"
-                 " \"nprocs\": %" PRIu64 ",\n \"repeat\": %" PRIu64
-                 ",\n \"jobs\": %" PRIu64 ",\n"
-                 " \"cells\": [\n",
-                 kHostBenchSchemaVersion, nprocs, repeat, jobs);
+    std::string doc;
+    char buf[256];
+    std::snprintf(buf, sizeof buf,
+                  "{\n \"host_bench_schema_version\": %d,\n"
+                  " \"generator\": \"host_perf\",\n"
+                  " \"mode\": \"tiny\",\n"
+                  " \"nprocs\": %" PRIu64 ",\n \"repeat\": %" PRIu64
+                  ",\n \"jobs\": %" PRIu64 ",\n"
+                  " \"cells\": [\n",
+                  kHostBenchSchemaVersion, nprocs, repeat, jobs);
+    doc += buf;
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const CellTiming& c = cells[i];
-      std::fprintf(f,
-                   "  {\"benchmark\": \"%s\", \"scheme\": \"%s\", "
-                   "\"best_ms\": %.3f, \"makespan_cycles\": %llu}%s\n",
-                   json_escape_nothing_needed(c.benchmark).c_str(),
-                   json_escape_nothing_needed(c.scheme).c_str(), c.best_ms,
-                   static_cast<unsigned long long>(c.makespan_cycles),
-                   i + 1 < cells.size() ? "," : "");
+      doc += "  {\"benchmark\": \"";
+      append_escaped(doc, c.benchmark);
+      doc += "\", \"scheme\": \"";
+      append_escaped(doc, c.scheme);
+      std::snprintf(buf, sizeof buf,
+                    "\", \"best_ms\": %.3f, \"makespan_cycles\": %llu}%s\n",
+                    c.best_ms,
+                    static_cast<unsigned long long>(c.makespan_cycles),
+                    i + 1 < cells.size() ? "," : "");
+      doc += buf;
     }
-    std::fprintf(f, " ],\n \"total_best_ms\": %.3f\n}\n", total_best_ms);
-    if (std::fclose(f) != 0) {
-      std::fprintf(stderr, "host_perf: cannot write %s\n", json_path.c_str());
+    std::snprintf(buf, sizeof buf, " ],\n \"total_best_ms\": %.3f\n}\n",
+                  total_best_ms);
+    doc += buf;
+    std::string err;
+    if (!write_file(json_path, doc, &err)) {
+      std::fprintf(stderr, "host_perf: %s\n", err.c_str());
       return 1;
     }
     std::printf("wrote %s\n", json_path.c_str());

@@ -6,14 +6,12 @@
 
 #include "olden/analyze/classify.hpp"
 #include "olden/analyze/report.hpp"
+#include "olden/support/io.hpp"
 
 namespace olden::analyze {
 
 namespace {
 
-using jsonio::append_escaped;
-using jsonio::append_kv;
-using jsonio::append_kv_i64;
 using trace::CycleBucket;
 
 std::uint64_t magnitude(std::int64_t v) {

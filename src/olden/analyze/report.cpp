@@ -3,52 +3,12 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "olden/support/io.hpp"
+
 namespace olden::analyze {
-
-namespace jsonio {
-
-void append_kv(std::string& out, const char* key, std::uint64_t v,
-               bool comma) {
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "\"%s\":%" PRIu64 "%s", key, v,
-                comma ? "," : "");
-  out += buf;
-}
-
-void append_kv_i64(std::string& out, const char* key, std::int64_t v,
-                   bool comma) {
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "\"%s\":%" PRId64 "%s", key, v,
-                comma ? "," : "");
-  out += buf;
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-}
-
-}  // namespace jsonio
 
 namespace {
 
-using jsonio::append_escaped;
-using jsonio::append_kv;
 using trace::CycleBucket;
 
 }  // namespace

@@ -25,18 +25,6 @@ namespace olden::analyze {
 /// Schema version of the JSON document json_report() emits.
 inline constexpr int kAnalysisSchemaVersion = 1;
 
-/// Hand-rolled JSON emission shared by the per-run report (report.cpp)
-/// and the cross-run diff report (diff.cpp). One implementation so the
-/// two documents can never diverge on escaping or number formatting.
-namespace jsonio {
-void append_kv(std::string& out, const char* key, std::uint64_t v,
-               bool comma = true);
-/// Signed variant — diff deltas go negative.
-void append_kv_i64(std::string& out, const char* key, std::int64_t v,
-                   bool comma = true);
-void append_escaped(std::string& out, const std::string& s);
-}  // namespace jsonio
-
 struct SiteStats {
   SiteId site = trace::kNoSite;
   std::uint64_t departs = 0;         ///< migration departures at this site

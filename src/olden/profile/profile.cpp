@@ -118,34 +118,6 @@ std::uint64_t RunProfile::total_future_steals() const {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-}
-
-void append_kv(std::string& out, const char* key, std::uint64_t v,
-               bool comma = true) {
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "\"%s\":%" PRIu64 "%s", key, v,
-                comma ? "," : "");
-  out += buf;
-}
-
 void append_site(std::string& out, const std::string& benchmark, SiteId site,
                  const SiteProfile& s) {
   out += "    {";

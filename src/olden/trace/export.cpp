@@ -15,34 +15,6 @@ namespace olden::trace {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-}
-
-void append_kv(std::string& out, const char* key, std::uint64_t v,
-               bool comma = true) {
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "\"%s\":%" PRIu64 "%s", key, v,
-                comma ? "," : "");
-  out += buf;
-}
-
 /// Instant-event scope is per-thread so each event lands on its
 /// processor's track.
 void append_instant(std::string& out, std::size_t pid, const TraceEvent& e) {
