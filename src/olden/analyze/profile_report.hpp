@@ -21,8 +21,7 @@ struct SiteGrade {
 };
 
 /// Grade one profiled site by `graded_mechanism` (support/types.hpp), the
-/// rule the adaptive scheme's decision ticks apply too. Sites with no
-/// accesses trivially agree.
+/// one site-grading rule. Sites with no accesses trivially agree.
 [[nodiscard]] SiteGrade grade_site(const profile::SiteRow& s);
 
 /// The full human report for every run in the document: interval summary,

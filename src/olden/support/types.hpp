@@ -51,7 +51,8 @@ enum class Mechanism : std::uint8_t {
 /// would be cheaper. A cache site flips only on positive evidence: the
 /// same low affinity AND a hit rate below 50% (write-only traffic carries
 /// no reuse signal and never flips it). The offline profile scoreboard
-/// and the adaptive scheme's decision ticks both grade with this.
+/// grades with this, and its recommendations are what a feedback file
+/// (--heuristic=profile:FILE) applies.
 [[nodiscard]] constexpr Mechanism graded_mechanism(Mechanism chosen,
                                                    std::uint64_t total,
                                                    std::uint64_t local,
