@@ -1,0 +1,154 @@
+// The offline feedback loop end to end on the 30 tiny cells (ten
+// benchmarks x three static schemes, p=8): a profiled run, the
+// scoreboard's feedback document (what `olden-analyze --profile
+// --feedback-out` writes) and a rerun with that document applied (what
+// `--heuristic=profile:FILE` does). The loop is the one path left that
+// re-decides a site's mechanism, so every cell's rerun must still compute
+// the host reference's checksum, and both makespans and the re-decided
+// sites are pinned. A cell whose feedback re-decides nothing must not
+// move a cycle or a counter. The pins hold the loop's measured effect
+// (EXPERIMENTS.md, "Adaptive column, removed"): 21 cells unchanged, MST
+// faster, Power and EM3D slower. A change to the grading rule moves them
+// on purpose, in the commit that says why.
+#include <gtest/gtest.h>
+
+#include <cctype>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "olden/analyze/profile_report.hpp"
+#include "olden/bench/benchmark.hpp"
+#include "olden/profile/feedback.hpp"
+#include "olden/profile/profile.hpp"
+#include "olden/profile/profile_reader.hpp"
+#include "olden/trace/observer.hpp"
+
+namespace olden::bench {
+namespace {
+
+/// One cell's static makespan, its makespan rerun under the feedback its
+/// own profile produced, and the sites that feedback re-decides, written
+/// "site:mechanism" in site order ("" when it agrees with every site).
+struct PinnedLoop {
+  const char* benchmark;
+  Coherence scheme;
+  Cycles static_makespan;
+  Cycles feedback_makespan;
+  const char* redecided;
+};
+constexpr PinnedLoop kPinnedLoops[] = {
+    {"TreeAdd", Coherence::kLocalKnowledge, 137719, 137719, ""},
+    {"TreeAdd", Coherence::kEagerGlobal, 148499, 148499, ""},
+    {"TreeAdd", Coherence::kBilateral, 148499, 148499, ""},
+    {"Power", Coherence::kLocalKnowledge, 3370252, 4829156, "3:cache"},
+    {"Power", Coherence::kEagerGlobal, 3597052, 4861396, "3:cache"},
+    {"Power", Coherence::kBilateral, 3597052, 4865796, "3:cache"},
+    {"TSP", Coherence::kLocalKnowledge, 326192, 326192, ""},
+    {"TSP", Coherence::kEagerGlobal, 329930, 329930, ""},
+    {"TSP", Coherence::kBilateral, 329930, 329930, ""},
+    {"MST", Coherence::kLocalKnowledge, 7955704, 5962293, "2:cache 3:cache"},
+    {"MST", Coherence::kEagerGlobal, 7976571, 6084989, "2:cache 3:cache"},
+    {"MST", Coherence::kBilateral, 7976571, 6518151, "2:cache 3:cache"},
+    {"Bisort", Coherence::kLocalKnowledge, 15361441, 15361441, ""},
+    {"Bisort", Coherence::kEagerGlobal, 16425618, 16425618, ""},
+    {"Bisort", Coherence::kBilateral, 16515998, 16515998, ""},
+    {"Voronoi", Coherence::kLocalKnowledge, 2884008, 2884008, ""},
+    {"Voronoi", Coherence::kEagerGlobal, 3068724, 3068724, ""},
+    {"Voronoi", Coherence::kBilateral, 3070844, 3070844, ""},
+    {"EM3D", Coherence::kLocalKnowledge, 740310, 1435302, "3:migrate"},
+    {"EM3D", Coherence::kEagerGlobal, 805773, 1475601, "3:migrate"},
+    {"EM3D", Coherence::kBilateral, 824273, 1475601, "3:migrate"},
+    {"Barnes-Hut", Coherence::kLocalKnowledge, 9225783, 9225783, ""},
+    {"Barnes-Hut", Coherence::kEagerGlobal, 9387733, 9387733, ""},
+    {"Barnes-Hut", Coherence::kBilateral, 9397513, 9397513, ""},
+    {"Perimeter", Coherence::kLocalKnowledge, 453025, 453025, ""},
+    {"Perimeter", Coherence::kEagerGlobal, 525113, 525113, ""},
+    {"Perimeter", Coherence::kBilateral, 525333, 525333, ""},
+    {"Health", Coherence::kLocalKnowledge, 245293, 245293, ""},
+    {"Health", Coherence::kEagerGlobal, 265815, 265815, ""},
+    {"Health", Coherence::kBilateral, 265835, 265835, ""},
+};
+
+const PinnedLoop* pinned_loop(const std::string& name, Coherence scheme) {
+  for (const PinnedLoop& p : kPinnedLoops) {
+    if (name == p.benchmark && scheme == p.scheme) return &p;
+  }
+  return nullptr;
+}
+
+class FeedbackLoop
+    : public ::testing::TestWithParam<std::tuple<std::string, Coherence>> {};
+
+TEST_P(FeedbackLoop, RerunValidatesAndMatchesPins) {
+  const auto& [name, scheme] = GetParam();
+  const Benchmark* b = find_benchmark(name);
+  ASSERT_NE(b, nullptr);
+  const PinnedLoop* pin = pinned_loop(name, scheme);
+  ASSERT_NE(pin, nullptr);
+
+  BenchConfig cfg{.nprocs = 8, .scheme = scheme};
+  cfg.tiny = true;
+  trace::Observer obs;
+  obs.enable_profile();
+  obs.begin_run(name + "/loop", {{"benchmark", name}});
+  cfg.observer = &obs;
+  const BenchResult profiled = b->run(cfg);
+  cfg.observer = nullptr;
+
+  // The profile goes through its JSON document, as between bench_cell and
+  // olden-analyze, and the feedback through its text.
+  profile::ProfileDoc doc;
+  std::string err;
+  ASSERT_TRUE(
+      profile::parse_profile_json(profile::profile_json(obs), &doc, &err))
+      << err;
+  profile::FeedbackTable feedback;
+  ASSERT_TRUE(feedback.parse(analyze::feedback_from_profile(doc), &err))
+      << err;
+  EXPECT_TRUE(feedback.stale_uids(name, b->num_sites()).empty());
+
+  const std::vector<Mechanism> before = b->site_table(cfg, nullptr);
+  cfg.feedback = &feedback;
+  const std::vector<Mechanism> after = b->site_table(cfg, nullptr);
+  ASSERT_EQ(after.size(), before.size());
+  std::string redecided;
+  for (std::size_t s = 0; s < after.size(); ++s) {
+    if (after[s] == before[s]) continue;
+    if (!redecided.empty()) redecided += ' ';
+    redecided += std::to_string(s) + ":" + to_string(after[s]);
+  }
+
+  const BenchResult rerun = b->run(cfg);
+  EXPECT_EQ(rerun.checksum, b->reference_checksum(cfg));
+  EXPECT_EQ(redecided, pin->redecided);
+  EXPECT_EQ(profiled.total_cycles, pin->static_makespan);
+  EXPECT_EQ(rerun.total_cycles, pin->feedback_makespan);
+  if (redecided.empty()) {
+    EXPECT_EQ(rerun.total_cycles, profiled.total_cycles);
+    EXPECT_TRUE(rerun.stats == profiled.stats);
+  }
+}
+
+std::vector<std::string> suite_names() {
+  std::vector<std::string> names;
+  for (const Benchmark* b : suite()) names.push_back(b->name());
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FullSuite, FeedbackLoop,
+    ::testing::Combine(::testing::ValuesIn(suite_names()),
+                       ::testing::Values(Coherence::kLocalKnowledge,
+                                         Coherence::kEagerGlobal,
+                                         Coherence::kBilateral)),
+    [](const auto& info) {
+      std::string s;
+      for (char c : std::get<0>(info.param)) {
+        if (std::isalnum(static_cast<unsigned char>(c))) s += c;
+      }
+      return s + "_" + to_string(std::get<1>(info.param));
+    });
+
+}  // namespace
+}  // namespace olden::bench
