@@ -1,35 +1,46 @@
 // FaultPlane: deterministic fault injection plus the reliable-delivery
-// protocol that lets the Olden runtime run correctly through it.
+// protocol that lets the Olden runtime run correctly through it, decided
+// for each message when the message is sent.
 //
-// The plane sits between the runtime's message producers (migrations,
-// return stubs, remote future resolutions) and the discrete-event queue.
-// Every payload message gets a per-(src,dst) sequence number and an entry
-// in the sender's pending table; each transmission attempt is then
-// subjected to the configured drop/duplicate/delay faults. Receivers
-// acknowledge every accepted or duplicate arrival and suppress replays
-// through a per-channel dedup window; senders retransmit on an ack
-// timeout with capped exponential backoff. Protocol overhead (acks,
-// retransmit marshalling) is charged to the kRetry cycle bucket so the
-// exhaustive per-processor accounting stays exhaustive.
+// Every inter-processor message the runtime sends (migrations, return
+// stubs, remote future resolutions, line fills, push invalidations and
+// bilateral timestamp checks) asks the plane, as it leaves, what the wire
+// does to it. The plane plays the protocol out on the spot. Each
+// transmission attempt draws drop, duplicate and delay fates. Each copy
+// that lands draws a receiver hiccup and is answered: a fill or timestamp
+// check by a reply carrying the data, anything else by an
+// acknowledgement. Answers draw their own drop and delay fates, and
+// replies duplicate too. The sender retransmits on the ack timeout, with
+// capped exponential backoff, until an answer lands. What comes back is
+// the virtual time the loss cost:
+//  * one_way(): how much later than on a lossless wire the payload lands.
+//    The machine adds it to the payload's arrival time, so the wire still
+//    carries the one heap event it carries with no plane.
+//  * round_trip(): how much later than on a lossless wire the answer
+//    lands. The sender is blocked meanwhile; it pays the inline charges it
+//    pays with no plane and the extra wait goes to its kRetry bucket.
+// Retransmit marshalling is charged to the sender's kRetry bucket and a
+// hiccup to the receiver's kIdle bucket. Lossless acks and replies are
+// free. With nothing injected both extras are zero and nothing is
+// charged: the event stream is the no-plane stream, event for event.
 //
 // Determinism: all fault randomness comes from one olden::Rng seeded with
-// RunConfig::fault_seed, drawn at simulation-deterministic points (each
-// transmission attempt, each arrival); burst windows are a pure function
-// of virtual send time. The same (spec, seed) therefore reproduces the
-// same faults — and the same binary trace — on every run. Because the
+// RunConfig::fault_seed, drawn in a fixed order per message, and messages
+// are sent in simulation order; burst windows are a pure function of
+// virtual send time. The same (spec, seed) therefore reproduces the same
+// faults, and the same binary trace, on every run. Because the
 // benchmarks' data values never depend on timing, checksums under any
 // fault schedule equal the fault-free checksums (the soak test enforces
 // this).
 //
-// Liveness: if a message exhausts its retransmit budget, or the event
-// horizon keeps advancing with no thread making progress, the watchdog
-// throws WatchdogError with a structured diagnostic naming the stuck
-// message instead of spinning forever.
+// Liveness: a message that exhausts its retransmit budget trips the
+// watchdog. Messages are sent from inside coroutines, whose promise
+// terminates the process on an exception, so the plane only records the
+// diagnostic; Machine::drain() throws it as WatchdogError between events.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -44,27 +55,17 @@ namespace olden::fault {
 
 /// What the watchdog saw when it declared the machine stuck.
 struct WatchdogDiagnostic {
-  std::string reason;            ///< "retry-cap-exceeded" | "no-thread-progress"
-  Cycles sim_time = 0;           ///< virtual time of the detection
+  std::string reason;            ///< "retry-cap-exceeded"
+  Cycles sim_time = 0;           ///< virtual time the last timeout expired
   std::uint64_t msg_id = 0;      ///< the stuck message
   ProcId src = 0;                ///< its sender
   ProcId dst = 0;                ///< its destination
-  std::uint64_t chan_seq = 0;    ///< its per-channel sequence number
   std::uint32_t retries = 0;     ///< retransmissions already attempted
   /// Payload kind name, e.g. "migration" or "fill_request".
   const char* payload = "";
   /// Message class of the stuck payload: "migration" | "return_stub" |
   /// "future_resolve" | "fill" | "invalidate" | "ts_check".
   const char* msg_class = "";
-  std::size_t pending_messages = 0;  ///< unacked messages machine-wide
-  /// Per-(src,dst) unacknowledged message counts at detection time, in
-  /// deterministic (src,dst) order — which channels the storm saturates.
-  struct ChannelLoad {
-    ProcId src = 0;
-    ProcId dst = 0;
-    std::uint64_t unacked = 0;
-  };
-  std::vector<ChannelLoad> channels;
 };
 
 /// Thrown (never OLDEN_REQUIRE-aborted) so harnesses and tests can catch
@@ -85,83 +86,44 @@ class FaultPlane {
   FaultPlane(const FaultPlane&) = delete;
   FaultPlane& operator=(const FaultPlane&) = delete;
 
-  /// Sender side: enter `payload` (arrival time already stamped at
-  /// send_time + wire) into the protocol and put the first transmission
-  /// attempt on the wire.
-  void send(Machine& m, ProcId src, Cycles wire, const Machine::Event& payload);
+  /// A payload message (migration, return stub or future resolution)
+  /// leaving `src` with lossless transit `wire`; `payload.time` is its
+  /// lossless arrival. Returns how many cycles later its first copy lands.
+  Cycles one_way(Machine& m, ProcId src, Cycles wire,
+                 const Machine::Event& payload);
 
-  /// Coherence request (kFillRequest / kTsCheckRequest): like send(), but
-  /// ack-free — the reply is the implicit acknowledgement. The request
-  /// retransmits on timeout until consume_reply() tombstones it.
-  void send_request(Machine& m, ProcId src, Cycles wire,
-                    const Machine::Event& payload);
+  /// A round trip of class `cls` (fill, timestamp check or push
+  /// invalidation) from `src` to `dst`, sent now on `src`'s clock by
+  /// thread `t`, which blocks until it is answered. Returns how many
+  /// cycles later than on a lossless wire the first answer lands.
+  Cycles round_trip(Machine& m, MsgClass cls, ProcId src, ProcId dst,
+                    const ThreadState& t);
 
-  /// Coherence reply (kFillReply / kTsCheckReply): fire-and-forget on the
-  /// lossy wire — no retry timer; a lost reply is regenerated when the
-  /// requester's retransmitted request gets re-serviced.
-  void send_reply(Machine& m, ProcId src, Cycles wire,
-                  const Machine::Event& payload);
-
-  /// Requester side, called by the reply appliers BEFORE touching the
-  /// op pointer: retire request `request_id`. Returns false if it was
-  /// already retired — the reply is surplus and must be discarded (its op
-  /// pointer may reference a recycled CoherenceOp).
-  bool consume_reply(std::uint64_t request_id);
-
-  // Event-queue handlers, dispatched from Machine::apply().
-  void on_wire_deliver(Machine& m, const Machine::Event& e);
-  void on_ack_deliver(Machine& m, const Machine::Event& e);
-  void on_retry_timer(Machine& m, const Machine::Event& e);
-
-  /// Watchdog backstop driven by drain(): `applied` events have been
-  /// processed since a thread last ran. Throws WatchdogError past the
-  /// budget.
-  void check_progress(const Machine& m, std::uint64_t applied) const;
-
-  [[nodiscard]] std::size_t pending_messages() const {
-    return pending_.size() + rr_pending_.size() + reply_pending_.size();
+  /// Throws WatchdogError if a message ran out of retransmissions.
+  void check_watchdog() const {
+    if (trip_) throw WatchdogError(*trip_);
   }
-  [[nodiscard]] const FaultSpec& spec() const { return spec_; }
-
-  /// Events drain() may apply without any thread progressing before the
-  /// no-progress watchdog trips. Generous: the retry-cap watchdog fires
-  /// first on any realistic schedule; this catches protocol bugs.
-  static constexpr std::uint64_t kProgressBudget = 200000;
 
  private:
-  struct Pending {
-    Machine::Event payload;        ///< original message (kind, target, h, ...)
+  /// One message as the plane plays it out.
+  struct Message {
+    MsgClass cls = MsgClass::kMigration;
     ProcId src = 0;
     ProcId dst = 0;
-    Cycles wire = 0;               ///< fault-free transit latency
-    std::uint64_t chan_seq = 0;
-    std::uint32_t retries = 0;     ///< timeout-driven retransmissions so far
-    Cycles backoff = 0;            ///< next timeout interval
-    /// Replies only: wire copies still scheduled for delivery; the entry
-    /// is erased when the count hits zero (so a fully-dropped reply does
-    /// not leak into the diagnostics forever).
-    std::uint32_t copies_in_flight = 0;
-    // Causal attribution for trace events about this message.
-    ThreadId thread_id = trace::kNoThread;
+    Cycles send = 0;  ///< departure time on src's clock
+    Cycles wire = 0;  ///< lossless one-way transit
+    // Causal attribution for the trace events about this message.
+    ThreadId thread = trace::kNoThread;
     std::uint64_t chain = trace::kNoChain;
     std::uint64_t parent = trace::kNoEvent;
   };
-
-  /// Receiver-side dedup window for one (src,dst) channel: a contiguous
-  /// high-water mark plus the out-of-order accepted set above it, so
-  /// memory stays proportional to reordering depth, not message count.
-  struct DedupWindow {
-    std::uint64_t contig = 0;           ///< all seqs <= contig accepted
-    std::set<std::uint64_t> ahead;      ///< accepted seqs > contig
-    bool accept(std::uint64_t seq);     ///< false iff already accepted
+  /// How much later than on a lossless wire the first copy of a message
+  /// landed, and the first answer to it got back to the sender.
+  struct Outcome {
+    Cycles late_delivery = 0;
+    Cycles late_answer = 0;
   };
 
-  static std::uint64_t chan_key(ProcId src, ProcId dst) {
-    return (static_cast<std::uint64_t>(src) << 32) | dst;
-  }
-  static const char* payload_name(Machine::MsgKind k);
-  /// Message class of a payload kind (wrapper kinds never reach this).
-  static MsgClass class_of(Machine::MsgKind k);
   /// Fault trace events encode the message class in arg0's upper bits —
   /// `(class + 1) << 32 | low` — so analyzers can split retry storms by
   /// class; 0 up top means "unknown" (traces from before the encoding).
@@ -170,45 +132,31 @@ class FaultPlane {
            (low & 0xffffffffu);
   }
 
+  /// Play `msg` out: attempts, copies, answers and retransmits, with
+  /// their stats, charges and trace events.
+  Outcome exchange(Machine& m, const Message& msg);
+  /// One transmission of `msg`'s class from `from` to `to` at `t` with
+  /// lossless transit `wire`. Writes the landing time of each surviving
+  /// copy to `landed` and returns how many there are (0 to 2). `data` is
+  /// a payload, request or reply: it may duplicate, and each landing
+  /// copy may hiccup its receiver. Otherwise it is an ack, which only
+  /// drops or straggles. Classes outside spec_.class_mask draw nothing
+  /// (and consume no randomness): a perfect wire.
+  int transmit(Machine& m, const Message& msg, std::uint64_t id, ProcId from,
+               ProcId to, Cycles t, Cycles wire, bool data, Cycles landed[2]);
   /// Current drop probability: base rate times the burst multiplier when
   /// `now` falls inside a burst window (pure function of virtual time).
   [[nodiscard]] double drop_probability(Cycles now) const;
-
-  /// One transmission attempt for `p` at virtual time `now`: draw drop /
-  /// delay / duplicate fates and schedule the surviving copies. Returns
-  /// how many copies went on the wire (0 when everything dropped).
-  /// Messages of a class outside spec_.class_mask skip every draw (and
-  /// consume no randomness): a perfect wire for excluded classes.
-  int transmit(Machine& m, std::uint64_t id, Pending& p, Cycles now);
-  /// Draw the optional injected delay for one wire copy.
-  Cycles draw_delay(Machine& m, const Pending& p, Cycles now);
-  void send_ack(Machine& m, MsgClass cls, ProcId data_src, ProcId data_dst,
-                std::uint64_t msg_id, std::uint64_t chan_seq, Cycles now);
   void note(Machine& m, trace::EventKind k, Cycles time, ProcId proc,
-            const Pending* p, std::uint64_t a0, std::uint64_t a1);
-  /// In-flight record for `id` in any of the three tables (attribution).
-  [[nodiscard]] const Pending* find_in_flight(std::uint64_t id) const;
-  /// One reply copy left the wire (delivered or suppressed); erase the
-  /// record once none remain.
-  void dec_reply_copies(std::uint64_t id);
-  [[noreturn]] void throw_watchdog(std::string reason, Cycles now,
-                                   std::uint64_t id, const Pending& p) const;
-  /// Current per-channel unacked counts across all in-flight tables.
-  [[nodiscard]] std::vector<WatchdogDiagnostic::ChannelLoad> channel_loads()
-      const;
+            const Message& msg, std::uint64_t a0, std::uint64_t a1);
 
   FaultSpec spec_;
   Rng rng_;
   std::uint64_t next_msg_id_ = 0;
-  /// Sender-side sequence counters and in-flight tables. std::map keeps
-  /// iteration (used by watchdog diagnostics) deterministic. Message ids
-  /// are unique across all three tables (one shared counter).
-  std::map<std::uint64_t, std::uint64_t> chan_next_seq_;
-  std::map<std::uint64_t, Pending> pending_;      ///< ack/retransmit protocol
-  std::map<std::uint64_t, Pending> rr_pending_;   ///< coherence requests
-  std::map<std::uint64_t, Pending> reply_pending_;  ///< coherence replies
-  /// Receiver-side dedup windows, also keyed by (src,dst).
-  std::map<std::uint64_t, DedupWindow> dedup_;
+  /// Landing times of the current message's copies (scratch, reused).
+  std::vector<Cycles> landed_;
+  /// The first retry-cap trip, thrown by check_watchdog().
+  std::optional<WatchdogDiagnostic> trip_;
 };
 
 }  // namespace olden::fault

@@ -34,12 +34,8 @@ struct ReadAwaiter {
     return Machine::current().access(addr, &value, sizeof(T), false, site);
   }
   void await_suspend(std::coroutine_handle<> h) {
-    Machine& m = Machine::current();
-    // A parked access (fault plane only) fills `value` before `h`
-    // resumes, so await_resume has nothing left to do.
-    if (m.attach_parked_access(h)) return;
     migrated = true;
-    m.migrate_to(addr.proc(), h, site);
+    Machine::current().migrate_to(addr.proc(), h, site);
   }
   T await_resume() {
     if (migrated) {
@@ -60,10 +56,8 @@ struct WriteAwaiter {
     return Machine::current().access(addr, &value, sizeof(T), true, site);
   }
   void await_suspend(std::coroutine_handle<> h) {
-    Machine& m = Machine::current();
-    if (m.attach_parked_access(h)) return;
     migrated = true;
-    m.migrate_to(addr.proc(), h, site);
+    Machine::current().migrate_to(addr.proc(), h, site);
   }
   void await_resume() {
     if (migrated) {

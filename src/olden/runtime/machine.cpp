@@ -106,179 +106,120 @@ void Machine::finish_access_local(GlobalAddr a, void* buf, std::uint32_t size,
 // Every cached access the inline fast path declines runs here, one chunk
 // (the part of the access inside one line) at a time. A chunk needs at
 // most two round trips to the line's home: a bilateral timestamp check
-// when its page is suspect, and a line fill on a read miss. Without a
-// fault plane each completes inline with the active-message charges of
-// the paper's synchronous miss. With one, the round trip becomes a
-// request/reply pair on the lossy wire (kFillRequest / kTsCheckRequest,
-// retransmitted until the reply, which is the implicit acknowledgement,
-// lands) and the op parks until the reply re-enters the loop. Homes
-// service requests statelessly; all cache and directory mutation happens
-// requester-side when the reply lands, host-atomic with the data copy,
-// so a duplicated request (re-serviced) or a surplus reply (tombstoned in
-// the fault plane's request table) can never corrupt cache or directory
-// state.
+// when its page is suspect, and a line fill on a read miss. Each is the
+// paper's synchronous active-message miss: the requester blocks and pays
+// a fixed charge, and the home's handler steals cycles from its own
+// thread. A fault plane decides the round trip's fate when it is sent;
+// the requester then also waits out whatever the loss cost, in its retry
+// bucket. All cache and directory mutation happens requester-side,
+// host-atomic with the data copy.
 // ---------------------------------------------------------------------------
 
-bool Machine::advance_cached_access(CoherenceOp& op, Cycles now) {
-  const ProcId p = op.thread->proc;
+void Machine::cached_access(GlobalAddr a, void* buf, std::uint32_t size,
+                            bool is_write, SiteId site) {
+  ThreadState& t = *cur_thread_;
+  const ProcId p = t.proc;
   Proc& pr = procs_[p];
-  auto* user = static_cast<std::byte*>(op.buf);
-  while (op.done < op.size) {
-    const GlobalAddr cur = op.addr.plus(op.done);
+  auto* user = static_cast<std::byte*>(buf);
+  std::uint64_t lines_fetched = 0;  // nonzero makes the access a miss
+  bool any_check = false;
+  Cycles stall_cycles = 0;  // the miss-fill histogram sample
+  for (std::uint32_t done = 0; done < size;) {
+    const GlobalAddr cur = a.plus(done);
     const std::uint32_t line_off = cur.raw() % kLineBytes;
-    const std::uint32_t chunk =
-        std::min(op.size - op.done, kLineBytes - line_off);
+    const std::uint32_t chunk = std::min(size - done, kLineBytes - line_off);
     const std::uint32_t page_id = cur.page_id();
     const std::uint32_t line = cur.line_in_page();
     const std::uint32_t bit = 1u << line;
+    const ProcId home = page_home(page_id);
 
-    if (op.entry == nullptr) {
-      // Translation-table lookup (Figure 1), charged once per chunk: a
-      // chunk resumed after a reply re-enters the loop with its page
-      // already in hand and does not pay again.
-      auto lr = pr.cache.lookup(page_id);
-      charge_to(p, cfg_.costs.cache_lookup, CycleBucket::kCacheStall);
-      if (lr.chain_steps > 1) {
-        charge_to(p, (lr.chain_steps - 1) * cfg_.costs.cache_chain_step,
-                  CycleBucket::kCacheStall);
-      }
-      op.entry = lr.entry;
-      if (op.entry == nullptr) {
-        op.entry = &pr.cache.create_page(page_id);  // the lookup just missed
-        charge_to(p, cfg_.costs.page_alloc, CycleBucket::kCacheStall);
-        ++stats_.pages_cached;
-      }
+    // Translation-table lookup (Figure 1), charged once per chunk.
+    auto lr = pr.cache.lookup(page_id);
+    charge_to(p, cfg_.costs.cache_lookup, CycleBucket::kCacheStall);
+    if (lr.chain_steps > 1) {
+      charge_to(p, (lr.chain_steps - 1) * cfg_.costs.cache_chain_step,
+                CycleBucket::kCacheStall);
     }
-    SoftwareCache::PageEntry* e = op.entry;
+    SoftwareCache::PageEntry* e = lr.entry;
+    if (e == nullptr) {
+      e = &pr.cache.create_page(page_id);  // the lookup just missed
+      charge_to(p, cfg_.costs.page_alloc, CycleBucket::kCacheStall);
+      ++stats_.pages_cached;
+    }
 
     if (e->suspect) {
       if (cfg_.scheme == Coherence::kBilateral) {
         ++stats_.timestamp_checks;
-        op.any_check = true;
-        if (fault_ != nullptr) {
-          park_on_wire(op, MsgKind::kTsCheckRequest, page_id, line);
-          return false;  // the kTsCheckReply resumes the loop
-        }
+        any_check = true;
+        const Cycles late =
+            fault_ == nullptr
+                ? 0
+                : fault_->round_trip(*this, MsgClass::kTsCheck, p, home, t);
         charge_to(p, cfg_.costs.timestamp_check, CycleBucket::kCoherence);
-        charge_to(page_home(page_id), cfg_.costs.remote_handler,
-                  CycleBucket::kCoherence);
-        complete_ts_check(op);
+        charge_to(home, cfg_.costs.remote_handler, CycleBucket::kCoherence);
+        charge_to(p, late, CycleBucket::kRetry);
+        complete_ts_check(p, *e);
       } else {
         e->suspect = false;
       }
     }
 
-    if (!op.is_write && (e->valid & bit) == 0) {
-      // Line miss: fetch 64 bytes from the home (an active-message round
-      // trip; the home's handler steals cycles from its own thread).
-      ++op.lines_fetched;
-      if (fault_ != nullptr) {
-        park_on_wire(op, MsgKind::kFillRequest, page_id, line);
-        return false;  // the kFillReply resumes the loop
-      }
-      op.stall_cycles += cfg_.costs.cache_miss;
+    if (!is_write && (e->valid & bit) == 0) {
+      // Line miss: fetch 64 bytes from the home.
+      ++lines_fetched;
+      const Cycles late =
+          fault_ == nullptr
+              ? 0
+              : fault_->round_trip(*this, MsgClass::kFill, p, home, t);
+      stall_cycles += cfg_.costs.cache_miss + late;
       charge_to(p, cfg_.costs.cache_miss, CycleBucket::kCacheStall);
-      charge_to(page_home(page_id), cfg_.costs.remote_handler,
-                CycleBucket::kCacheStall);
-      complete_fill(op);
+      charge_to(home, cfg_.costs.remote_handler, CycleBucket::kCacheStall);
+      charge_to(p, late, CycleBucket::kRetry);
+      complete_fill(p, *e, cur, site);
     }
 
-    if (op.is_write) {
+    if (is_write) {
       // Write-through, no-allocate, host-synchronous: the home always
       // gets the bytes at once (never via the lossy wire), and a valid
       // cached line is updated in place.
-      std::memcpy(heap_.home_ptr(cur, chunk), user + op.done, chunk);
+      std::memcpy(heap_.home_ptr(cur, chunk), user + done, chunk);
       if ((e->valid & bit) != 0) {  // valid line => frame present
-        std::memcpy(e->frame + line * kLineBytes + line_off, user + op.done,
+        std::memcpy(e->frame + line * kLineBytes + line_off, user + done,
                     chunk);
       }
     } else {
-      std::memcpy(user + op.done, e->frame + line * kLineBytes + line_off,
+      std::memcpy(user + done, e->frame + line * kLineBytes + line_off,
                   chunk);
     }
-    op.done += chunk;
-    op.entry = nullptr;
+    done += chunk;
   }
-  finish_cached_access(op, now);
-  return true;
-}
 
-void Machine::finish_cached_access(CoherenceOp& op, Cycles now) {
-  const ProcId p = op.thread->proc;
-  const GlobalAddr a = op.addr;
   if (obs_ != nullptr) obs_->touch_page(p, a.page_id());
-  if (op.is_write) {
+  if (is_write) {
     charge_to(p, cfg_.costs.remote_write, CycleBucket::kCacheStall);
     charge_to(a.proc(), cfg_.costs.remote_handler, CycleBucket::kCacheStall);
-    if (op.any_check) ++stats_.timestamp_stalls;
-    track_write_for(*op.thread, a, op.size);
+    if (any_check) ++stats_.timestamp_stalls;
+    track_write(a, size);
     if (obs_ != nullptr) {
-      obs_->profile_access(procs_[p].clock, op.site, a.page_id(),
+      obs_->profile_access(pr.clock, site, a.page_id(),
                            profile::AccessClass::kWriteThrough);
     }
-  } else if (op.lines_fetched > 0) {
+  } else if (lines_fetched > 0) {
     ++stats_.cache_misses;
-    note_event(EventKind::kCacheMiss, p, op.thread, op.site, a.page_id(),
-               op.lines_fetched);
+    note_event(EventKind::kCacheMiss, p, &t, site, a.page_id(),
+               lines_fetched);
     if (obs_ != nullptr) {
-      obs_->record(trace::Hist::kMissFillCycles, op.stall_cycles);
+      obs_->record(trace::Hist::kMissFillCycles, stall_cycles);
     }
   } else {
     ++stats_.cache_hits;
-    if (op.any_check) ++stats_.timestamp_stalls;
-    note_event(EventKind::kCacheHit, p, op.thread, op.site, a.page_id());
-  }
-  if (op.pooled) {
-    // Resume the parked thread; run_ready accounts any clock < now gap as
-    // idle, exactly like a migration arrival.
-    std::vector<CoherenceOp*>& parked = procs_[p].parked;
-    parked.erase(std::find(parked.begin(), parked.end(), &op));
-    push_ready(p, ReadyItem{op.h, op.thread, now});
-    coherence_op_free_.push_back(&op);
+    if (any_check) ++stats_.timestamp_stalls;
+    note_event(EventKind::kCacheHit, p, &t, site, a.page_id());
   }
 }
 
-void Machine::park_on_wire(CoherenceOp& op, MsgKind request,
-                           std::uint32_t page_id, std::uint32_t line) {
-  const ProcId p = op.thread->proc;
-  CoherenceOp* held = &op;
-  if (!op.pooled) {
-    // First park: the op moves from access()'s stack into the pool and is
-    // recorded on its processor, where the awaiter attaches the coroutine.
-    if (coherence_op_free_.empty()) {
-      held = &coherence_ops_.emplace_back();
-    } else {
-      held = coherence_op_free_.back();
-      coherence_op_free_.pop_back();
-    }
-    *held = op;
-    held->pooled = true;
-    procs_[p].parked.push_back(held);
-  }
-  held->wait_started = procs_[p].clock;
-  const ProcId home = page_home(page_id);
-  const bool fill = request == MsgKind::kFillRequest;
-  const std::uint64_t ev = note_event(
-      fill ? EventKind::kFillRequest : EventKind::kTsCheckRequest, p,
-      held->thread, held->site, page_id, fill ? line : home);
-  fault_->send_request(*this, p, cfg_.costs.coherence_wire,
-                       Event{.time = procs_[p].clock +
-                                     cfg_.costs.coherence_wire,
-                             .seq = next_seq_++,
-                             .kind = request,
-                             .target = home,
-                             .thread = held->thread,
-                             .src = p,
-                             .op = held,
-                             .parg0 = page_id,
-                             .parg1 = fill ? line : 0u,
-                             .obs_parent = ev});
-}
-
-void Machine::complete_fill(CoherenceOp& op) {
-  const ProcId p = op.thread->proc;
-  SoftwareCache::PageEntry& entry = *op.entry;
-  const GlobalAddr cur = op.addr.plus(op.done);
+void Machine::complete_fill(ProcId p, SoftwareCache::PageEntry& entry,
+                            GlobalAddr cur, SiteId site) {
   const std::uint32_t line = cur.line_in_page();
   const GlobalAddr line_base(
       (cur.raw() / kLineBytes) * static_cast<std::uint32_t>(kLineBytes));
@@ -292,8 +233,7 @@ void Machine::complete_fill(CoherenceOp& op) {
     // adopting it, drop the lines the version advance invalidated —
     // stamping alone would hide genuinely stale lines from the next
     // suspect check (the page's version is page-grain, its lines are
-    // not), and on the wire a migration can mark the page suspect while
-    // the fill is in flight.
+    // not).
     const std::uint32_t stale =
         stale_line_mask(info, entry.version, entry.valid);
     entry.valid &= ~stale;
@@ -302,14 +242,11 @@ void Machine::complete_fill(CoherenceOp& op) {
     entry.version = info.version;
   }
   entry.valid |= 1u << line;
-  note_event(EventKind::kCacheLineFill, p, op.thread, op.site, cur.page_id(),
+  note_event(EventKind::kCacheLineFill, p, cur_thread_, site, cur.page_id(),
              line);
 }
 
-void Machine::complete_ts_check(CoherenceOp& op) {
-  SoftwareCache::PageEntry& entry = *op.entry;
-  // Validate against the directory as it stands now (on the wire: when
-  // the reply lands), so a re-serviced request changes nothing.
+void Machine::complete_ts_check(ProcId p, SoftwareCache::PageEntry& entry) {
   const HomePageInfo& info = directory_.page(entry.page_id);
   const std::uint32_t stale = stale_line_mask(info, entry.version, entry.valid);
   const std::uint64_t dropped =
@@ -318,87 +255,8 @@ void Machine::complete_ts_check(CoherenceOp& op) {
   stats_.lines_invalidated += dropped;
   entry.version = info.version;
   entry.suspect = false;
-  note_event(EventKind::kTimestampCheck, op.thread->proc, op.thread,
-             trace::kNoSite, entry.page_id, dropped);
-}
-
-void Machine::apply_coherence_request(const Event& e) {
-  // Home-side service: charge the handler, emit the reply event, send the
-  // reply. Stateless, so re-servicing a retransmitted request is harmless.
-  // The reply departs at the request's ARRIVAL time, not the home's clock
-  // — the handler is an active message that steals cycles, exactly like
-  // the inline round trip and the one-way protocol's acks. Anchoring it to
-  // the home's clock instead couples reply latency to how far ahead the
-  // home's own computation runs, and under a busy home every requester
-  // times out, every retransmit is re-serviced (pushing the home's clock
-  // further), and the protocol collapses into a retry storm.
-  const bool fill = e.kind == MsgKind::kFillRequest;
-  advance_clock_to(e.target, e.time);
-  charge_to(e.target, cfg_.costs.remote_handler,
-            fill ? CycleBucket::kCacheStall : CycleBucket::kCoherence);
-  std::uint64_t ev = trace::kNoEvent;
-  if (obs_ != nullptr) {
-    // A fill reply's event names the line, a timestamp reply's the home
-    // version it carries.
-    const std::uint64_t a1 =
-        fill ? e.parg1
-             : directory_.page(static_cast<std::uint32_t>(e.parg0)).version;
-    ev = obs_->event(fill ? EventKind::kFillReply : EventKind::kTsCheckReply,
-                     e.time, e.target,
-                     e.thread != nullptr ? e.thread->id : trace::kNoThread,
-                     trace::kNoSite, e.parg0, a1,
-                     e.thread != nullptr ? e.thread->obs_chain
-                                         : trace::kNoChain,
-                     e.obs_parent);
-  }
-  fault_->send_reply(
-      *this, e.target, cfg_.costs.coherence_wire,
-      Event{.time = e.time + cfg_.costs.coherence_wire,
-            .seq = next_seq_++,
-            .kind = fill ? MsgKind::kFillReply : MsgKind::kTsCheckReply,
-            .target = e.src,
-            .thread = e.thread,
-            .src = e.target,
-            .op = e.op,
-            .parg0 = e.parg0,
-            .parg1 = e.parg1,
-            .obs_parent = ev,
-            .answer_to = e.msg_id});
-}
-
-void Machine::apply_coherence_reply(const Event& e) {
-  advance_clock_to(e.target, e.time);
-  charge_to(e.target, cfg_.costs.ack_recv, CycleBucket::kRetry);
-  if (!fault_->consume_reply(e.answer_to)) {
-    // The request this answers was already satisfied (a retransmitted
-    // request got re-serviced after the first reply landed). The op
-    // pointer may point at a recycled op — the tombstone check above is
-    // what makes discarding safe.
-    ++stats_.replies_ignored;
-    return;
-  }
-  CoherenceOp& op = *e.op;
-  if (e.time > op.wait_started) op.stall_cycles += e.time - op.wait_started;
-  op.thread->obs_next_parent = e.obs_parent;
-  if (e.kind == MsgKind::kFillReply) {
-    complete_fill(op);
-  } else {
-    complete_ts_check(op);
-  }
-  advance_cached_access(op, e.time);
-}
-
-void Machine::apply_invalidate_push(const Event& e) {
-  // The sharer's cache and the directory were updated synchronously at
-  // the release; this arrival carries the receive-side timing and the
-  // trace event (parented to the kInvalidatePush emitted at the sender).
-  advance_clock_to(e.target, e.time);
-  charge_to(e.target, cfg_.costs.invalidate_recv, CycleBucket::kCoherence);
-  if (obs_ != nullptr) {
-    obs_->event(EventKind::kLineInvalidate, e.time, e.target, e.thread->id,
-                trace::kNoSite, e.parg0, e.parg1, e.thread->obs_chain,
-                e.obs_parent);
-  }
+  note_event(EventKind::kTimestampCheck, p, cur_thread_, trace::kNoSite,
+             entry.page_id, dropped);
 }
 
 // ---------------------------------------------------------------------------
@@ -461,34 +319,19 @@ void Machine::invalidate_sharer(ThreadState& t, ProcId s, std::uint32_t page,
     // grow and long runs invalidate fully-stale copies forever.
     info.sharers.remove(s);
   }
-  if (fault_ == nullptr) {
-    charge_to(s, cfg_.costs.invalidate_recv, CycleBucket::kCoherence);
-    if (obs_ != nullptr) {
-      obs_->event(EventKind::kLineInvalidate, procs_[s].clock, s, t.id,
-                  trace::kNoSite, page, inv.dropped, t.obs_chain,
-                  t.obs_last_event);
-    }
-    return;
-  }
-  // Under a fault plane the push is an explicit acked wire message: only
-  // timing, costs and the receive-side event ride the lossy wire, landing
-  // at kInvalidatePush delivery.
-  std::uint64_t push_ev = trace::kNoEvent;
+  // The writer collects the sharer's ack before it moves on; a fault
+  // plane makes it wait out whatever the loss cost.
+  const Cycles late =
+      fault_ == nullptr
+          ? 0
+          : fault_->round_trip(*this, MsgClass::kInvalidate, from, s, t);
+  charge_to(s, cfg_.costs.invalidate_recv, CycleBucket::kCoherence);
   if (obs_ != nullptr) {
-    push_ev = obs_->event(EventKind::kInvalidatePush, procs_[from].clock, from,
-                          t.id, trace::kNoSite, page, s, t.obs_chain,
-                          t.obs_last_event);
+    obs_->event(EventKind::kLineInvalidate, procs_[s].clock, s, t.id,
+                trace::kNoSite, page, inv.dropped, t.obs_chain,
+                t.obs_last_event);
   }
-  send_message(from, cfg_.costs.coherence_wire,
-               Event{.time = procs_[from].clock + cfg_.costs.coherence_wire,
-                     .seq = next_seq_++,
-                     .kind = MsgKind::kInvalidatePush,
-                     .target = s,
-                     .thread = &t,
-                     .src = from,
-                     .parg0 = page,
-                     .parg1 = inv.dropped,
-                     .obs_parent = push_ev});
+  charge_to(from, late, CycleBucket::kRetry);
 }
 
 void Machine::on_acquire(ProcId p, const ProcSet* writers, ThreadState* t) {
@@ -775,13 +618,10 @@ void Machine::post_root(std::coroutine_handle<> h) {
 void Machine::schedule(Event e) { events_.push(std::move(e)); }
 
 void Machine::send_message(ProcId src, Cycles wire, Event e) {
-  if (fault_ == nullptr) {
-    // Reliable fast path: exactly the event stream a machine without a
-    // fault plane produces, cycle for cycle and seq for seq.
-    schedule(std::move(e));
-    return;
-  }
-  fault_->send(*this, src, wire, e);
+  // The one event the wire carries with or without a plane, landing late
+  // by whatever the loss cost.
+  if (fault_ != nullptr) e.time += fault_->one_way(*this, src, wire, e);
+  schedule(std::move(e));
 }
 
 void Machine::apply(const Event& e) {
@@ -821,32 +661,6 @@ void Machine::apply(const Event& e) {
     }
     case MsgKind::kResolveFuture: {
       resolve_future_at_home(e.cell);
-      break;
-    }
-    case MsgKind::kWireDeliver: {
-      fault_->on_wire_deliver(*this, e);
-      break;
-    }
-    case MsgKind::kAckDeliver: {
-      fault_->on_ack_deliver(*this, e);
-      break;
-    }
-    case MsgKind::kRetryTimer: {
-      fault_->on_retry_timer(*this, e);
-      break;
-    }
-    case MsgKind::kFillRequest:
-    case MsgKind::kTsCheckRequest: {
-      apply_coherence_request(e);
-      break;
-    }
-    case MsgKind::kFillReply:
-    case MsgKind::kTsCheckReply: {
-      apply_coherence_reply(e);
-      break;
-    }
-    case MsgKind::kInvalidatePush: {
-      apply_invalidate_push(e);
       break;
     }
   }
@@ -891,14 +705,6 @@ void Machine::run_ready(ProcId p) {
       break;
     }
     if (w == nullptr) break;
-    // Lazy task creation runs a future body as its parent's thread, so the
-    // parent's writes from before the futurecall sit in the body's write
-    // log. Without a fault plane the body must migrate, releasing that
-    // log, before this processor can go idle; a body parked on a
-    // coherence round trip leaves it idle with the log unreleased. Release
-    // every parked thread's log first, or the stolen continuation reads
-    // stale copies on other processors.
-    for (CoherenceOp* op : pr.parked) on_release(*op->thread);
     w->taken = true;
     charge_to(p, cfg_.costs.future_steal, CycleBucket::kCompute);
     ThreadState* nt = new_thread(p);
@@ -912,11 +718,6 @@ void Machine::run_ready(ProcId p) {
 }
 
 void Machine::drain() {
-  // Hang watchdog (fault plane only): events applied since a thread last
-  // made progress. A healthy protocol always turns a bounded number of
-  // wire/ack/timer events back into a runnable thread; see
-  // FaultPlane::kProgressBudget.
-  std::uint64_t applied_without_progress = 0;
   for (;;) {
     bool ran = false;
     for (ProcId p = 0; p < cfg_.nprocs; ++p) {
@@ -930,13 +731,11 @@ void Machine::drain() {
         ran = true;
       }
     }
-    if (ran) applied_without_progress = 0;
+    // A retry-cap trip recorded while those threads ran surfaces here,
+    // between events: a throw from inside a coroutine would terminate.
+    if (fault_ != nullptr) fault_->check_watchdog();
     if (!events_.empty()) {
-      const Event e = events_.pop_min();
-      apply(e);
-      if (fault_ != nullptr) {
-        fault_->check_progress(*this, ++applied_without_progress);
-      }
+      apply(events_.pop_min());
       continue;
     }
     if (!ran) break;

@@ -15,8 +15,8 @@
 namespace olden {
 
 /// Classes of logical messages the reliable-delivery layer carries. The
-/// first three ride PR 3's ack/retransmit protocol; the last three are the
-/// coherence request/reply messages (fills, push invalidations, bilateral
+/// first three are payloads the sender does not wait for; the last three
+/// are round trips that block it (fills, push invalidations, bilateral
 /// timestamp checks). Per-class fault statistics are indexed by this enum.
 enum class MsgClass : std::uint8_t {
   kMigration,
@@ -95,22 +95,21 @@ struct MachineStats {
   std::uint64_t fault_delays = 0;
   /// Sender timeouts that re-sent an unacknowledged message.
   std::uint64_t retransmissions = 0;
-  /// Arrivals the receiver's dedup window recognized and discarded.
+  /// Surplus copies the receiver recognized as replays and discarded.
   std::uint64_t duplicates_suppressed = 0;
-  /// Acknowledgements transmitted by receivers (one per accepted arrival).
+  /// Acknowledgements transmitted by receivers (one per landed copy).
   std::uint64_t acks_sent = 0;
   /// Transient per-processor slowdowns injected at message arrivals.
   std::uint64_t hiccups_injected = 0;
   /// Total stall cycles those hiccups added (accounted under `idle`).
   std::uint64_t hiccup_cycles = 0;
-  /// Coherence request/reply layer: requests issued (fills + timestamp
-  /// checks; each is answered by an idempotent reply that doubles as the
-  /// acknowledgement).
+  /// Coherence requests issued (fills + timestamp checks; each is
+  /// answered by a reply that doubles as the acknowledgement).
   std::uint64_t coherence_requests = 0;
   /// Surplus replies discarded because the request they answered had
-  /// already been satisfied (a retransmitted request re-serviced after the
-  /// original reply got through). Kept separate from
-  /// `duplicates_suppressed`, which counts wire-level duplicate arrivals.
+  /// already been satisfied (the home serves every request copy that
+  /// lands, and a reply can itself duplicate). Kept separate from
+  /// `duplicates_suppressed`, which counts surplus request arrivals.
   std::uint64_t replies_ignored = 0;
   /// Per-message-class decomposition of the aggregate fault counters
   /// above, indexed by MsgClass. Ack/reply trouble is attributed to the
