@@ -15,7 +15,8 @@ inline constexpr std::uint64_t kNoPage = ~std::uint64_t{0};
 
 /// The page an event is about, or kNoPage. Only the cache/coherence kinds
 /// carry a page id in arg0; kCacheFlush's arg0 is a line count and the
-/// fault kinds carry processor/sequence payloads, so both map to kNoPage.
+/// fault kinds carry processor and message-id payloads, so both map to
+/// kNoPage.
 inline std::uint64_t page_of(trace::EventKind kind, std::uint64_t arg0) {
   using trace::EventKind;
   switch (kind) {
@@ -24,13 +25,6 @@ inline std::uint64_t page_of(trace::EventKind kind, std::uint64_t arg0) {
     case EventKind::kCacheLineFill:
     case EventKind::kLineInvalidate:
     case EventKind::kTimestampCheck:
-    // The coherence wire messages all carry the page in arg0 too.
-    case EventKind::kFillRequest:
-    case EventKind::kFillReply:
-    case EventKind::kInvalidatePush:
-    case EventKind::kInvalidateAck:
-    case EventKind::kTsCheckRequest:
-    case EventKind::kTsCheckReply:
       return arg0;
     default:
       return kNoPage;
@@ -47,20 +41,10 @@ inline trace::CycleBucket dst_bucket(trace::EventKind dst_kind,
   switch (dst_kind) {
     case EventKind::kCacheMiss:
     case EventKind::kCacheLineFill:
-    // Reaching a fill request/reply on the processor's own timeline is
-    // part of servicing a miss.
-    case EventKind::kFillRequest:
-    case EventKind::kFillReply:
       return CycleBucket::kCacheStall;
     case EventKind::kLineInvalidate:
     case EventKind::kTimestampCheck:
-    case EventKind::kInvalidatePush:
-    case EventKind::kTsCheckRequest:
-    case EventKind::kTsCheckReply:
       return CycleBucket::kCoherence;
-    // The ack closing an invalidation push is protocol overhead.
-    case EventKind::kInvalidateAck:
-      return CycleBucket::kRetry;
     // An acquire-time flush / suspect-marking that dropped or marked
     // nothing did no coherence work; the gap leading to it was the thread
     // computing (local work emits no events, so such gaps can be long).

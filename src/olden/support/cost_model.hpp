@@ -88,21 +88,18 @@ struct CostModel {
   Cycles timestamp_check = 220;
 
   // --- reliable delivery (fault plane only) ---------------------------------
-  // Charged to the kRetry bucket, and only when fault injection is
-  // enabled: a fault-free run never executes this machinery, so these
-  // never perturb the paper's numbers.
-  /// Receiver-side occupancy to emit one acknowledgement.
-  Cycles ack_send = 30;
+  // Inputs to when a retransmit fires or an answer lands (see
+  // fault_plane.hpp). Lossless acks and replies are free, so a run whose
+  // plane injects nothing never charges any of these.
   /// Acknowledgement transit on the wire.
   Cycles ack_wire = 600;
-  /// Sender-side cost of processing one acknowledgement.
-  Cycles ack_recv = 20;
-  /// Sender-side cost of re-marshalling + re-injecting a timed-out message.
+  /// Sender-side cost of re-marshalling + re-injecting a timed-out
+  /// message, charged to the kRetry bucket.
   Cycles retransmit_send = 300;
   /// One-way wire transit for a coherence message (fill request/reply,
-  /// push invalidation, timestamp check) once it rides the lossy wire.
-  /// Half of `cache_miss` minus the handler occupancies, so a fault-free
-  /// round trip stays in the neighborhood of the synchronous charge.
+  /// push invalidation, timestamp check). Half of `cache_miss` minus the
+  /// handler occupancies, so a lossless round trip fits inside the
+  /// synchronous charge.
   Cycles coherence_wire = 140;
 
   // --- allocation -------------------------------------------------------------

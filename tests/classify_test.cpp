@@ -71,21 +71,6 @@ constexpr KindExpectation kExpectations[] = {
     {EventKind::kDupSuppressed, CycleBucket::kIdle, CycleBucket::kIdle,
      false},
     {EventKind::kHiccup, CycleBucket::kIdle, CycleBucket::kIdle, false},
-    // Coherence wire messages: all carry the page in arg0. Fills are part
-    // of servicing a miss; invalidations and timestamp checks are
-    // coherence work; the ack closing a push is protocol overhead.
-    {EventKind::kFillRequest, CycleBucket::kCacheStall,
-     CycleBucket::kCacheStall, true},
-    {EventKind::kFillReply, CycleBucket::kCacheStall,
-     CycleBucket::kCacheStall, true},
-    {EventKind::kInvalidatePush, CycleBucket::kCoherence,
-     CycleBucket::kCoherence, true},
-    {EventKind::kInvalidateAck, CycleBucket::kRetry, CycleBucket::kRetry,
-     true},
-    {EventKind::kTsCheckRequest, CycleBucket::kCoherence,
-     CycleBucket::kCoherence, true},
-    {EventKind::kTsCheckReply, CycleBucket::kCoherence,
-     CycleBucket::kCoherence, true},
 };
 
 // The compile-time guard: a new EventKind fails the build here until a

@@ -171,8 +171,9 @@ TEST(TraceReaderRobustness, GarbageMagicIsRejected) {
 
 TEST(TraceReaderRobustness, OutOfRangeEventKindIsRejected) {
   // The last kind reads; kNumEventKinds, the first past it, does not.
-  // That one is 27, the retired scheme_flip, which traces written by an
-  // old adaptive run still hold.
+  // That one is 21, the retired fill_request: kinds 21 to 27 are the
+  // coherence wire messages and scheme_flip, which traces written by old
+  // faulted or adaptive runs still hold.
   std::string bytes = valid_trace_bytes();
   const std::size_t kind_off = kFirstRecordOff + kRecordKindOff;
   ASSERT_LT(kind_off, bytes.size());
