@@ -15,6 +15,7 @@
 
 #include "olden/bench/benchmark.hpp"
 #include "olden/bench/obs_cli.hpp"
+#include "olden/fault/fault_plane.hpp"
 #include "olden/olden.hpp"
 #include "olden/support/rng.hpp"
 
@@ -89,7 +90,7 @@ double find_breakeven(ProcId procs, Cycles migration_cost,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   // The break-even search below runs hundreds of probe machines; only the
   // Voronoi ablation runs are observed/labeled.
   olden::bench::ObsCli obs;
@@ -142,4 +143,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.stats.cache_misses));
   }
   return obs.finish() ? 0 : 1;
+} catch (const olden::fault::WatchdogError& e) {
+  // A fault plane that ran out of retransmissions: an error, not a
+  // crash (docs/ROBUSTNESS.md).
+  std::fprintf(stderr, "ablation_costmodel: %s\n", e.what());
+  return 1;
 }

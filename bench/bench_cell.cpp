@@ -82,9 +82,11 @@ struct CellOutcome {
 };
 
 /// Runs one cell; used verbatim by the serial path (recording straight
-/// into the main observer) and the pool (recording into `out->obs`).
+/// into the main observer) and the pool (recording into `out->obs`). A
+/// throw (a fault-plane watchdog trip, say) fails just this cell: its
+/// message goes to stderr and the other cells still run.
 void run_cell(const Cell& c, const BenchConfig& base, ObsCli& cli,
-              trace::Observer* rec, CellOutcome* out) {
+              trace::Observer* rec, CellOutcome* out) try {
   BenchConfig cfg = base;
   cfg.scheme = c.scheme;
   cfg.observer = rec;
@@ -118,6 +120,10 @@ void run_cell(const Cell& c, const BenchConfig& base, ObsCli& cli,
                   static_cast<unsigned long long>(want));
     out->err = buf;
   }
+} catch (const std::exception& e) {
+  out->ok = false;
+  out->err = "bench_cell: " + c.b->name() + "/" + c.sname +
+             " failed: " + e.what() + "\n";
 }
 
 }  // namespace
@@ -241,14 +247,8 @@ int main(int argc, char** argv) {
       pool.emplace_back([&] {
         for (std::size_t i = next.fetch_add(1); i < cells.size();
              i = next.fetch_add(1)) {
-          try {
-            run_cell(cells[i], base, obs,
-                     main_obs != nullptr ? &outs[i].obs : nullptr, &outs[i]);
-          } catch (const std::exception& e) {
-            outs[i].ok = false;
-            outs[i].err = "bench_cell: " + cells[i].b->name() + "/" +
-                          cells[i].sname + " failed: " + e.what() + "\n";
-          }
+          run_cell(cells[i], base, obs,
+                   main_obs != nullptr ? &outs[i].obs : nullptr, &outs[i]);
         }
       });
     }

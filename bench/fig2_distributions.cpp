@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "olden/bench/obs_cli.hpp"
+#include "olden/fault/fault_plane.hpp"
 #include "olden/olden.hpp"
 #include "olden/support/rng.hpp"
 
@@ -103,7 +104,7 @@ Run run_walk(int n, ProcId procs, bool cyclic, Mechanism mech,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   olden::bench::ObsCli obs;
   obs.parse(&argc, argv);
   if (argc > 1) {
@@ -181,4 +182,9 @@ int main(int argc, char** argv) {
                 t[0] < t[1] ? "migrate" : "cache");
   }
   return obs.finish() ? 0 : 1;
+} catch (const olden::fault::WatchdogError& e) {
+  // A fault plane that ran out of retransmissions: an error, not a
+  // crash (docs/ROBUSTNESS.md).
+  std::fprintf(stderr, "fig2_distributions: %s\n", e.what());
+  return 1;
 }

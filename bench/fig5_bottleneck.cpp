@@ -14,6 +14,7 @@
 
 #include "olden/bench/obs_cli.hpp"
 #include "olden/compiler/analysis.hpp"
+#include "olden/fault/fault_plane.hpp"
 #include "olden/olden.hpp"
 
 namespace {
@@ -124,7 +125,7 @@ double run_wat(ProcId procs, Mechanism tree_mech, std::uint64_t* migrations,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   olden::bench::ObsCli obs;
   obs.parse(&argc, argv);
   if (argc > 1) {
@@ -234,4 +235,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(mig_c));
   std::printf("caching wins by %.1fx, as pass 2 predicts.\n", t_mig / t_cache);
   return obs.finish() ? 0 : 1;
+} catch (const olden::fault::WatchdogError& e) {
+  // A fault plane that ran out of retransmissions: an error, not a
+  // crash (docs/ROBUSTNESS.md).
+  std::fprintf(stderr, "fig5_bottleneck: %s\n", e.what());
+  return 1;
 }
