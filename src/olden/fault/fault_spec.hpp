@@ -84,7 +84,4 @@ struct FaultSpec {
 /// parse to a disabled spec.
 bool parse_fault_spec(std::string_view text, FaultSpec* out, std::string* err);
 
-/// Render a spec back into canonical `--faults=` syntax (for diagnostics).
-std::string to_string(const FaultSpec& spec);
-
 }  // namespace olden::fault
