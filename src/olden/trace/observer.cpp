@@ -26,6 +26,17 @@ void Observer::begin_run(std::string label,
 }
 
 void Observer::attach(const RunConfig& cfg) {
+  if (run_open_) {
+    // The previous Machine threw before finish() (a fault-plane watchdog
+    // trip, say). Drop its partial record, as a host-parallel worker's is
+    // dropped, so that this run inherits none of its counts; keep the
+    // label and metadata begin_run set for this run.
+    events_retained_ -= cur_.events.size() + cur_.events_streamed;
+    RunRecord next;
+    next.label = std::move(cur_.label);
+    next.meta = std::move(cur_.meta);
+    cur_ = std::move(next);
+  }
   if (cur_.label.empty()) {
     cur_.label = "run-" + std::to_string(runs_.size());
   }
