@@ -17,6 +17,7 @@
 #include "olden/profile/profile.hpp"
 #include "olden/profile/profile_reader.hpp"
 #include "olden/trace/observer.hpp"
+#include "suite_grid.hpp"
 #include "trace_digest.hpp"
 
 namespace olden {
@@ -304,6 +305,66 @@ TEST(ProfileConservation, HoldsWhenIntervalExceedsMakespan) {
   EXPECT_EQ(cycle_sum,
             static_cast<std::uint64_t>(run.nprocs) * run.makespan);
 }
+
+// --- site counts against the machine --------------------------------------
+
+// The site table is the grader's only input, so on every cell, on a clean
+// wire and under CI's coherence fault spec, its six counters must account
+// for the Machine's own counts. A migrated access is counted at its site
+// once, at departure, while the Machine also counts the local access the
+// thread completes on arrival; local accesses at cache sites are counted
+// by the Machine only as cacheable reads and writes.
+class SiteProfile : public ::testing::TestWithParam<test::GridCell> {};
+
+TEST_P(SiteProfile, CountsAgreeWithMachine) {
+  const auto& [name, scheme] = GetParam();
+  const Benchmark* b = find_benchmark(name);
+  ASSERT_NE(b, nullptr);
+  fault::FaultSpec spec;
+  std::string err;
+  ASSERT_TRUE(fault::parse_fault_spec(
+      "drop=0.1,dup=0.05,delay=0.2:500,classes=fill:invalidate:ts_check",
+      &spec, &err))
+      << err;
+
+  const fault::FaultSpec* const wires[] = {nullptr, &spec};
+  for (const fault::FaultSpec* faults : wires) {
+    SCOPED_TRACE(faults == nullptr ? "clean wire" : "coherence faults");
+    trace::Observer obs;
+    obs.enable_profile();
+    obs.begin_run(name + "/sites", {{"benchmark", name}});
+    BenchConfig cfg{.nprocs = 8, .scheme = scheme.scheme};
+    cfg.tiny = true;
+    cfg.faults = faults;
+    cfg.fault_seed = 21;
+    cfg.observer = &obs;
+    const BenchResult r = b->run(cfg);
+    ASSERT_EQ(obs.runs().size(), 1u);
+
+    std::uint64_t local = 0, hits = 0, misses = 0, writes = 0, migrations = 0;
+    for (const auto& [site, s] : obs.runs()[0].profile.sites) {
+      local += s.local_reads + s.local_writes;
+      hits += s.cache_hits;
+      misses += s.cache_misses;
+      writes += s.write_throughs;
+      migrations += s.migrations;
+      EXPECT_TRUE(s.migrations == 0 ||
+                  s.cache_hits + s.cache_misses + s.write_throughs == 0)
+          << "site " << site << " both migrated and cached";
+    }
+    const MachineStats& m = r.stats;
+    EXPECT_EQ(hits, m.cache_hits);
+    EXPECT_EQ(misses, m.cache_misses);
+    EXPECT_EQ(writes, m.cacheable_writes_remote);
+    EXPECT_EQ(migrations, m.migrations);
+    EXPECT_EQ(local, m.local_reads + m.local_writes - m.migrations +
+                         (m.cacheable_reads - m.cacheable_reads_remote) +
+                         (m.cacheable_writes - m.cacheable_writes_remote));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FullSuite, SiteProfile, test::grid(),
+                         test::grid_name);
 
 // --- feedback file grammar -------------------------------------------------
 
