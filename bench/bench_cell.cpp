@@ -61,8 +61,8 @@ void usage(std::FILE* to) {
                "  --jobs=N           run cells on N host threads (default 1;\n"
                "                     output identical to serial)\n"
                "  --heuristic=SPEC   'static' (default) or 'profile:FILE' to\n"
-               "                     apply per-site feedback from olden-analyze\n"
-               "                     --feedback-out (see docs/PROFILING.md)\n"
+               "                     apply the per-site feedback a --profile run\n"
+               "                     wrote (see docs/PROFILING.md)\n"
                "  --list             print suite benchmark names and exit\n"
                "%s",
                ObsCli::usage());
@@ -233,9 +233,7 @@ int main(int argc, char** argv) {
       for (CellOutcome& o : outs) {
         o.obs.set_trace_enabled(main_obs->trace_enabled());
         o.obs.set_event_limit(main_obs->event_limit());
-        if (main_obs->profile_enabled()) {
-          o.obs.enable_profile(main_obs->profile_interval());
-        }
+        if (main_obs->profile_enabled()) o.obs.enable_profile();
       }
     }
     std::atomic<std::size_t> next{0};

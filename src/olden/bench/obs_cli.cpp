@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "olden/profile/feedback.hpp"
 #include "olden/support/io.hpp"
 
 namespace olden::bench {
@@ -30,18 +31,15 @@ void ObsCli::parse(int* argc, char** argv,
     }
     return v;
   };
-  auto count = [&](const std::string& v, const char* flag,
-                   std::uint64_t min) {
+  auto count = [&](const std::string& v, const char* flag) {
     std::uint64_t n = 0;
-    if (!parse_u64_strict(v, &n) || n < min) {
+    if (!parse_u64_strict(v, &n)) {
       std::string what = flag;
-      what += ": '" + v + "' is not a ";
-      what += min == 0 ? "non-negative integer" : "positive integer";
+      what += ": '" + v + "' is not a non-negative integer";
       flag_error(argv[0], what.c_str());
     }
     return n;
   };
-  Cycles profile_interval = profile::kDefaultIntervalCycles;
   auto passes_through = [&](const char* arg) {
     if (std::strcmp(arg, "--help") == 0) return true;
     for (const char* prefix : passthrough) {
@@ -60,10 +58,8 @@ void ObsCli::parse(int* argc, char** argv,
       stats_path_ = path(v, "--stats-json");
     } else if (flag_value(argv[i], "--profile", &v)) {
       profile_path_ = path(v, "--profile");
-    } else if (flag_value(argv[i], "--profile-interval", &v)) {
-      profile_interval = count(v, "--profile-interval", 1);
     } else if (flag_value(argv[i], "--trace-limit", &v)) {
-      obs_.set_event_limit(count(v, "--trace-limit", 0));
+      obs_.set_event_limit(count(v, "--trace-limit"));
     } else if (flag_value(argv[i], "--faults", &v)) {
       // An empty spec, like "none", disables the plane.
       std::string err;
@@ -74,16 +70,13 @@ void ObsCli::parse(int* argc, char** argv,
         flag_error(argv[0], ("--faults: " + err).c_str());
       }
     } else if (flag_value(argv[i], "--fault-seed", &v)) {
-      fault_seed_ = count(v, "--fault-seed", 0);
+      fault_seed_ = count(v, "--fault-seed");
     } else if (std::strcmp(argv[i], "--breakdown") == 0) {
       breakdown_ = true;
     } else if (std::strcmp(argv[i], "--version") == 0) {
-      std::printf(
-          "%s: stats schema v%d, binary trace format v%d, profile schema "
-          "v%d\n",
-          argv[0] != nullptr ? argv[0] : "olden-bench",
-          trace::kStatsSchemaVersion, trace::kBinaryTraceVersion,
-          profile::kProfileSchemaVersion);
+      std::printf("%s: stats schema v%d, binary trace format v%d\n",
+                  argv[0] != nullptr ? argv[0] : "olden-bench",
+                  trace::kStatsSchemaVersion, trace::kBinaryTraceVersion);
       std::exit(0);
     } else if (std::strncmp(argv[i], "--", 2) == 0 &&
                !passes_through(argv[i])) {
@@ -100,7 +93,7 @@ void ObsCli::parse(int* argc, char** argv,
   *argc = kept;
   argv[kept] = nullptr;
 
-  if (!profile_path_.empty()) obs_.enable_profile(profile_interval);
+  if (!profile_path_.empty()) obs_.enable_profile();
   active_ = breakdown_ || !trace_path_.empty() || !trace_bin_path_.empty() ||
             !stats_path_.empty() || !profile_path_.empty();
   obs_.set_trace_enabled(!trace_path_.empty() || !trace_bin_path_.empty());
@@ -171,11 +164,13 @@ bool ObsCli::finish() {
     }
   }
   if (!profile_path_.empty()) {
-    if (profile::write_profile_json(obs_, profile_path_, &err)) {
-      std::printf("wrote profile: %s (%zu runs)\n", profile_path_.c_str(),
-                  obs_.runs().size());
+    if (write_file(profile_path_, profile::feedback_from_profile(obs_.runs()),
+                   &err)) {
+      std::printf("wrote profile feedback: %s (%zu runs)\n",
+                  profile_path_.c_str(), obs_.runs().size());
     } else {
-      std::fprintf(stderr, "profile export failed: %s\n", err.c_str());
+      std::fprintf(stderr, "profile feedback export failed: %s\n",
+                   err.c_str());
       ok = false;
     }
   }
@@ -189,11 +184,9 @@ const char* ObsCli::usage() {
          "as\n"
          "                     events fire\n"
          "  --stats-json=FILE  write the structured stats document\n"
-         "  --profile=FILE     write the interval-sampled profile JSON\n"
-         "                     (page/site heat; see docs/PROFILING.md)\n"
-         "  --profile-interval=N\n"
-         "                     profile sampling interval in virtual cycles\n"
-         "                     (default 65536; must be positive)\n"
+         "  --profile=FILE     grade every dereference site and write the\n"
+         "                     feedback document --heuristic=profile:FILE\n"
+         "                     reads (see docs/PROFILING.md)\n"
          "  --trace-limit=N    cap retained trace events (default 1000000)\n"
          "  --breakdown        print per-processor cycle breakdowns\n"
          "  --faults=SPEC      inject wire faults, e.g. "

@@ -5,17 +5,15 @@
 //   --trace-bin=FILE     compact binary event log ("OLDNTRC2"), streamed to
 //                        disk as events fire
 //   --stats-json=FILE    structured stats document (schema_version'd)
-//   --profile=FILE       interval-sampled profile JSON (see docs/PROFILING.md)
-//   --profile-interval=N sampling interval in virtual cycles (default 65536)
+//   --profile=FILE       per-site feedback document (see docs/PROFILING.md)
 //   --trace-limit=N      cap on retained trace events (default 1000000)
 //   --breakdown          print per-processor cycle-breakdown tables
 //   --faults=SPEC        fault-injection plan (see fault_spec.hpp grammar)
 //   --fault-seed=N       RNG seed for the fault plane (default 1)
 //
 // Malformed values (an empty path, a non-numeric --trace-limit /
-// --fault-seed, a zero or non-numeric --profile-interval, an unparsable
-// --faults spec) are rejected with a one-line message on stderr and exit
-// code 2 — never silently coerced.
+// --fault-seed, an unparsable --faults spec) are rejected with a one-line
+// message on stderr and exit code 2 — never silently coerced.
 #pragma once
 
 #include <cstdint>

@@ -1,29 +1,33 @@
 // Profile-guided feedback: per-site mechanism overrides learned from a
 // profiled run.
 //
-// `olden-analyze --profile P.json --feedback-out F.txt` emits a plain-text
-// table of recommended mechanisms; bench binaries accept it back through
-// `--heuristic=profile:F.txt`, overriding the static heuristic per
+// A bench binary run with `--profile=FILE` grades every site it profiled
+// (grade_site, by the one rule graded_mechanism) and writes the result as
+// a plain-text feedback document; bench binaries accept it back through
+// `--heuristic=profile:FILE`, overriding the static heuristic per
 // (benchmark, site) — the minimal offline feedback loop (so Table 2 can be
 // rerun with learned decisions against the paper's static ones).
 //
 // File format (docs/PROFILING.md):
 //
 //   # olden-profile-feedback v1
-//   # benchmark site mechanism
+//   # TreeAdd#0        migrate acc=2047     local=100.0% ... agree
 //   TreeAdd 0 migrate
+//   # Health#2 ...
 //   Health 2 cache
+//   # scoreboard: 2 sites, 2 agree, 0 disagree
 //
 // The first non-blank line must be the version header. Later '#' lines
-// are comments. Rows are whitespace-separated; a duplicate
-// (benchmark, site) row is a parse error naming both lines — two rows
-// for one site means the file was merged or hand-edited badly, and
-// silently keeping either one would apply a mechanism nobody reviewed.
+// are comments; the writer puts each site's evidence in one. Rows are
+// whitespace-separated; a duplicate (benchmark, site) row is a parse
+// error naming both lines — two rows for one site means the file was
+// merged or hand-edited badly, and silently keeping either one would
+// apply a mechanism nobody reviewed.
 // Sites are joined by the stable (benchmark, site-index) identifiers
-// that heuristic dumps and profile rows both carry (e.g. "TreeAdd#0");
-// a row whose site index falls outside the benchmark's site table (a
-// stale file from an older build) is reported as a warning by the
-// consumer (Benchmark::site_table) and otherwise ignored.
+// that heuristic dumps and the evidence comments both carry (e.g.
+// "TreeAdd#0"); a row whose site index falls outside the benchmark's site
+// table (a stale file from an older build) is reported as a warning by
+// the consumer (Benchmark::site_table) and otherwise ignored.
 #pragma once
 
 #include <map>
@@ -32,7 +36,12 @@
 #include <utility>
 #include <vector>
 
+#include "olden/profile/profile.hpp"
 #include "olden/support/types.hpp"
+
+namespace olden::trace {
+struct RunRecord;
+}  // namespace olden::trace
 
 namespace olden::profile {
 
@@ -93,5 +102,26 @@ class FeedbackTable {
 /// false (with *err set) on an unknown spec or an unreadable/invalid file.
 bool parse_heuristic_spec(const std::string& spec, FeedbackTable* out,
                           bool* use_feedback, std::string* err = nullptr);
+
+/// How one site's static decision scored against observed behaviour.
+struct SiteGrade {
+  Mechanism chosen = Mechanism::kMigrate;       ///< what the run used
+  Mechanism recommended = Mechanism::kMigrate;  ///< what the profile says
+  bool agree = true;
+  double local_fraction = 1.0;  ///< accesses that needed no mechanism
+  double hit_rate = 0.0;        ///< remote reads served by the cache
+};
+
+/// Grade one profiled site by `graded_mechanism` (support/types.hpp), the
+/// one site-grading rule. Sites with no accesses trivially agree.
+[[nodiscard]] SiteGrade grade_site(const SiteProfile& s);
+
+/// The feedback document: one recommended mechanism per (benchmark, site),
+/// aggregated over every non-baseline run of that benchmark, each row
+/// after a comment holding its site's evidence, and a closing scoreboard
+/// line ("# scoreboard: N sites, A agree, D disagree"). Runs without a
+/// benchmark name are skipped (there is no stable identifier to join on).
+[[nodiscard]] std::string feedback_from_profile(
+    const std::vector<trace::RunRecord>& runs);
 
 }  // namespace olden::profile

@@ -1,48 +1,25 @@
-// profile — the interval-sampled profiling plane.
+// profile — the per-site table the feedback grader reads.
 //
-// A RunProfile accumulates per-dereference-site, per-page, per-processor
-// and per-interval counters while a Machine runs, driven entirely from the
-// trace::Observer hooks the runtime already calls. Nothing here touches
-// virtual time: the profiler only *reads* the clocks the runtime advanced
-// (the zero-perturbation A/B tests in tests/profile_test.cpp and
-// tests/observability_determinism_test.cpp hold it to that — with
-// profiling enabled, traces are byte-identical to profiling-off runs and
-// every makespan/counter is unchanged).
+// A RunProfile counts, for every dereference site, how its accesses
+// resolved while a Machine ran, driven entirely from the trace::Observer
+// hooks the runtime already calls. Nothing here touches virtual time: the
+// profiler only counts (the zero-perturbation A/B tests in
+// tests/profile_test.cpp and tests/observability_determinism_test.cpp
+// hold it to that — with profiling enabled, traces are byte-identical to
+// profiling-off runs and every makespan/counter is unchanged).
 //
-// Time is divided into fixed-width intervals of `interval_cycles` virtual
-// cycles; interval i covers [i*W, (i+1)*W). Discrete occurrences (an
-// access, a migration, a steal) are binned at the virtual time they fire;
-// cycle charges are split exactly across the interval boundaries they
-// span, so per-interval bucket cycles always sum to nprocs * makespan.
-//
-// The output is schema-versioned profile JSON (profile_json() below,
-// validated by `tools/check_stats_schema.py --profile`) which
-// `olden-analyze --profile` turns into page-heat rankings, phase-change
-// reports and the heuristic scoreboard. See docs/PROFILING.md.
+// `--profile=FILE` grades each site from this table and writes the
+// feedback document (profile/feedback.hpp) that
+// `--heuristic=profile:FILE` reads back. See docs/PROFILING.md.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
-#include <string>
-#include <vector>
 
 #include "olden/support/types.hpp"
 #include "olden/trace/trace.hpp"
 
-namespace olden::trace {
-class Observer;
-}  // namespace olden::trace
-
 namespace olden::profile {
-
-/// Bumped whenever the profile JSON layout changes incompatibly.
-/// `check_stats_schema.py --profile` rejects unknown versions with exit 2.
-inline constexpr int kProfileSchemaVersion = 1;
-
-/// Default sampling interval width, in virtual cycles. Tiny runs span a
-/// handful of intervals; paper-size runs a few tens of thousands.
-inline constexpr Cycles kDefaultIntervalCycles = 65536;
 
 /// How one profiled access resolved. Local/write-through classes are fed
 /// by dedicated Machine hooks (no trace event exists for them); hits,
@@ -53,11 +30,11 @@ enum class AccessClass : std::uint8_t {
   kWriteThrough,  ///< remote cached write (forwarded to the home copy)
 };
 
-/// Whole-run heat totals plus a sparse access timeline for one site.
-/// `accesses()` counts every dereference executed at the site:
-/// local + hits + misses + write-throughs + migrations. A migrated
-/// access is counted once, at departure time on the source processor
-/// (the post-migration local completion is not re-counted).
+/// Whole-run counts for one site. `accesses()` counts every dereference
+/// executed at the site: local + hits + misses + write-throughs +
+/// migrations. A migrated access is counted once, at departure on the
+/// source processor (the post-migration local completion is not
+/// re-counted).
 struct SiteProfile {
   std::uint64_t local_reads = 0;
   std::uint64_t local_writes = 0;
@@ -68,9 +45,6 @@ struct SiteProfile {
   /// Mechanism the compile-time heuristic chose for this site (snapshotted
   /// from the Machine's decision table when the run finishes).
   Mechanism mechanism = Mechanism::kMigrate;
-  /// interval index -> accesses binned in that interval. Sparse; entry
-  /// values sum to accesses().
-  std::map<std::uint64_t, std::uint64_t> timeline;
 
   [[nodiscard]] std::uint64_t accesses() const {
     return local_reads + local_writes + cache_hits + cache_misses +
@@ -78,84 +52,18 @@ struct SiteProfile {
   }
 };
 
-/// Whole-run heat totals for one global page.
-struct PageProfile {
-  std::uint64_t local_accesses = 0;  ///< home-local dereferences of the page
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t write_throughs = 0;
-  std::uint64_t line_fills = 0;
-  std::uint64_t lines_invalidated = 0;  ///< push-invalidated + stale-dropped
-  std::uint64_t timestamp_checks = 0;   ///< bilateral revalidations
-
-  [[nodiscard]] std::uint64_t remote_accesses() const {
-    return cache_hits + cache_misses + write_throughs;
-  }
-};
-
-/// Per-processor migration / steal totals.
-struct ProcProfile {
-  std::uint64_t migrations_out = 0;  ///< departures from this processor
-  std::uint64_t migrations_in = 0;   ///< arrivals at this processor
-  std::uint64_t future_steals = 0;   ///< futures stolen by this processor
-};
-
-/// One sampling interval's machine-wide activity.
-struct IntervalSample {
-  std::uint64_t accesses = 0;       ///< site accesses binned here
-  std::uint64_t migrations = 0;     ///< departures binned here
-  std::uint64_t future_steals = 0;
-  /// Cycles charged inside this interval, per bucket, summed over all
-  /// processors. Across all intervals these sum to nprocs * makespan.
-  std::array<std::uint64_t, trace::kNumBuckets> cycles{};
-};
-
 /// Everything the profiling plane records about one Machine run. Lives
 /// inside trace::RunRecord so Observer::adopt_run merges worker profiles
 /// byte-identically to a serial run.
 struct RunProfile {
-  bool enabled = false;
-  Cycles interval_cycles = kDefaultIntervalCycles;
-
   std::map<SiteId, SiteProfile> sites;
-  std::map<std::uint64_t, PageProfile> pages;
-  std::map<std::uint64_t, IntervalSample> intervals;
-  std::vector<ProcProfile> procs;
 
-  [[nodiscard]] std::uint64_t interval_of(Cycles t) const {
-    return t / interval_cycles;
-  }
+  /// One local or write-through access at `site`.
+  void add_access(SiteId site, AccessClass cls);
 
-  /// One local or write-through access at `site` touching `page`, binned
-  /// at virtual time `t` (the post-charge clock, matching event stamps).
-  void add_access(Cycles t, SiteId site, std::uint64_t page, AccessClass cls);
-
-  /// Split `end - start` cycles of bucket `b` exactly across the
-  /// intervals the span [start, end) overlaps.
-  void add_cycles(Cycles start, Cycles end, trace::CycleBucket b);
-
-  /// Event-stream tap: hits, misses, fills, invalidations, timestamp
-  /// checks, migrations and future steals all ride on events the runtime
-  /// already emits.
-  void on_event(trace::EventKind k, Cycles t, ProcId p, SiteId site,
-                std::uint64_t a0, std::uint64_t a1);
-
-  /// Total site accesses (== every interval's accesses summed).
-  [[nodiscard]] std::uint64_t total_accesses() const;
-  [[nodiscard]] std::uint64_t total_migrations() const;
-  [[nodiscard]] std::uint64_t total_future_steals() const;
-
- private:
-  void count_site_access(Cycles t, SiteId site);
+  /// Event-stream tap: hits, misses and migrations ride on events the
+  /// runtime already emits.
+  void on_event(trace::EventKind k, SiteId site);
 };
-
-// --- exporter (profile.cpp) -------------------------------------------------
-
-/// The schema-versioned profile JSON document for every run the observer
-/// recorded (layout documented in docs/PROFILING.md). Deterministic:
-/// integers only, map-ordered rows.
-[[nodiscard]] std::string profile_json(const trace::Observer& obs);
-bool write_profile_json(const trace::Observer& obs, const std::string& path,
-                        std::string* err = nullptr);
 
 }  // namespace olden::profile

@@ -65,7 +65,7 @@ Machine::~Machine() {
 }
 
 [[gnu::noinline]] void Machine::account(ProcId p, Cycles c, CycleBucket b) {
-  obs_->account(p, c, b, procs_[p].clock);
+  obs_->account(p, c, b);
 }
 
 GlobalAddr Machine::alloc_raw(ProcId home, std::uint32_t size,
@@ -201,8 +201,7 @@ void Machine::cached_access(GlobalAddr a, void* buf, std::uint32_t size,
     if (any_check) ++stats_.timestamp_stalls;
     track_write(a, size);
     if (obs_ != nullptr) {
-      obs_->profile_access(pr.clock, site, a.page_id(),
-                           profile::AccessClass::kWriteThrough);
+      obs_->profile_access(site, profile::AccessClass::kWriteThrough);
     }
   } else if (lines_fetched > 0) {
     ++stats_.cache_misses;
@@ -683,7 +682,7 @@ void Machine::run_ready(ProcId p) {
       if (it.time > pr.clock) {
         // The processor sat idle until the item's arrival time.
         if (obs_ != nullptr) {
-          obs_->account(p, it.time - pr.clock, CycleBucket::kIdle, it.time);
+          obs_->account(p, it.time - pr.clock, CycleBucket::kIdle);
         }
         pr.clock = it.time;
       }

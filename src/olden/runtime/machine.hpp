@@ -213,9 +213,9 @@ class Machine {
         home_copy(a, buf, size, is_write);
         if (is_write) track_write(a, size);
         if (obs_ != nullptr) {
-          obs_->profile_access(procs_[cur_proc()].clock, site, a.page_id(),
-                               is_write ? profile::AccessClass::kLocalWrite
-                                        : profile::AccessClass::kLocalRead);
+          obs_->profile_access(site, is_write
+                                         ? profile::AccessClass::kLocalWrite
+                                         : profile::AccessClass::kLocalRead);
         }
         return true;
       }
@@ -241,9 +241,8 @@ class Machine {
       home_copy(a, buf, size, is_write);
       if (is_write) track_write(a, size);
       if (obs_ != nullptr) {
-        obs_->profile_access(procs_[cur_proc()].clock, site, a.page_id(),
-                             is_write ? profile::AccessClass::kLocalWrite
-                                      : profile::AccessClass::kLocalRead);
+        obs_->profile_access(site, is_write ? profile::AccessClass::kLocalWrite
+                                            : profile::AccessClass::kLocalRead);
       }
       return true;
     }
@@ -541,8 +540,7 @@ class Machine {
                 trace::CycleBucket::kCacheStall);
       track_write(a, size);
       if (obs_ != nullptr) {
-        obs_->profile_access(procs_[p].clock, site, page_id,
-                             profile::AccessClass::kWriteThrough);
+        obs_->profile_access(site, profile::AccessClass::kWriteThrough);
       }
     } else {
       ++stats_.cache_hits;

@@ -50,9 +50,9 @@ enum class Mechanism : std::uint8_t {
 /// 10% of its accesses (local < 90%) is bouncing, and caching the data
 /// would be cheaper. A cache site flips only on positive evidence: the
 /// same low affinity AND a hit rate below 50% (write-only traffic carries
-/// no reuse signal and never flips it). The offline profile scoreboard
-/// grades with this, and its recommendations are what a feedback file
-/// (--heuristic=profile:FILE) applies.
+/// no reuse signal and never flips it). A `--profile` run grades every
+/// site with this, and its recommendations are what the feedback document
+/// it writes (--heuristic=profile:FILE) applies.
 [[nodiscard]] constexpr Mechanism graded_mechanism(Mechanism chosen,
                                                    std::uint64_t total,
                                                    std::uint64_t local,

@@ -44,12 +44,6 @@ void Observer::attach(const RunConfig& cfg) {
   cur_.scheme = to_string(cfg.scheme);
   cur_.sequential_baseline = cfg.costs.sequential_baseline;
   acct_.assign(cfg.nprocs, BucketCycles{});
-  cur_.profile = profile::RunProfile{};
-  if (profile_on_) {
-    cur_.profile.enabled = true;
-    cur_.profile.interval_cycles = profile_interval_;
-    cur_.profile.procs.assign(cfg.nprocs, profile::ProcProfile{});
-  }
   page_heat_.clear();
   next_event_id_ = 0;
   next_chain_id_ = 0;
@@ -72,20 +66,10 @@ void Observer::finish(const Machine& m) {
     // the remainder of the run.
     cur_.breakdown[p][static_cast<std::size_t>(CycleBucket::kIdle)] +=
         cur_.makespan - m.proc_clock(p);
-    if (profile_on_) {
-      // Mirror the trailing idle into the interval timeline so interval
-      // bucket cycles always sum to nprocs * makespan.
-      cur_.profile.add_cycles(m.proc_clock(p), cur_.makespan,
-                              CycleBucket::kIdle);
-    }
   }
-  if (profile_on_) {
-    // Join each profiled site to the mechanism the compile-time heuristic
-    // (or a feedback override) actually chose for this run.
-    for (auto& [site, sp] : cur_.profile.sites) {
-      sp.mechanism = m.mechanism(site);
-    }
-  }
+  // Join each profiled site to the mechanism the compile-time heuristic
+  // (or a feedback override) actually chose for this run.
+  for (auto& [site, sp] : cur_.profile.sites) sp.mechanism = m.mechanism(site);
 
   for (const auto& [key, heat] : page_heat_) {
     (void)key;

@@ -71,9 +71,9 @@ struct RunRecord {
   /// run's retained count is events.size() + events_streamed either way.
   std::uint64_t events_streamed = 0;
 
-  /// Interval-sampled heat counters (empty unless profiling was enabled;
-  /// see src/olden/profile/). Riding in the RunRecord means adopt_run
-  /// merges worker profiles byte-identically to a serial run.
+  /// Per-site access counts (empty unless profiling was enabled; see
+  /// src/olden/profile/). Riding in the RunRecord means adopt_run merges
+  /// worker profiles byte-identically to a serial run.
   profile::RunProfile profile;
 
   [[nodiscard]] BucketCycles bucket_totals() const {
@@ -101,16 +101,12 @@ class Observer {
   void set_event_limit(std::uint64_t n) { event_limit_ = n; }
   [[nodiscard]] std::uint64_t event_limit() const { return event_limit_; }
 
-  /// Collect interval-sampled site/page/processor heat profiles (see
+  /// Count each dereference site's accesses by how they resolved (see
   /// src/olden/profile/ and docs/PROFILING.md). Like tracing, profiling
   /// never touches virtual time; unlike tracing it is bounded by the
-  /// program's site/page footprint, not its event count.
-  void enable_profile(Cycles interval_cycles = profile::kDefaultIntervalCycles) {
-    profile_on_ = true;
-    profile_interval_ = interval_cycles == 0 ? 1 : interval_cycles;
-  }
+  /// program's site count, not its event count.
+  void enable_profile() { profile_on_ = true; }
   [[nodiscard]] bool profile_enabled() const { return profile_on_; }
-  [[nodiscard]] Cycles profile_interval() const { return profile_interval_; }
 
   /// Stream retained events to `sink` (v2 binary bytes on disk) instead of
   /// accumulating them in RunRecord::events. Install before the first run;
@@ -164,7 +160,7 @@ class Observer {
                       std::uint64_t parent = kNoEvent) {
     const std::uint64_t id = next_event_id_++;
     ++cur_.event_counts[static_cast<std::size_t>(k)];
-    if (profile_on_) cur_.profile.on_event(k, t, p, site, a0, a1);
+    if (profile_on_) cur_.profile.on_event(k, site);
     if (!trace_enabled_) return id;
     if (events_retained_ >= event_limit_) {
       ++cur_.events_dropped;
@@ -185,19 +181,15 @@ class Observer {
   /// thread-creation order, per run.
   std::uint64_t new_chain() { return next_chain_id_++; }
 
-  /// Attribute `c` cycles on processor p to bucket b. `now` is p's clock
-  /// *after* the charge (the same convention event stamps use), so the
-  /// profiler can split the span [now - c, now) across its intervals.
-  void account(ProcId p, Cycles c, CycleBucket b, Cycles now) {
+  /// Attribute `c` cycles on processor p to bucket b.
+  void account(ProcId p, Cycles c, CycleBucket b) {
     acct_[p][static_cast<std::size_t>(b)] += c;
-    if (profile_on_ && c != 0) cur_.profile.add_cycles(now - c, now, b);
   }
 
   /// One local or write-through dereference, for the profiling plane; no
   /// trace event exists for these (they would swamp the event stream).
-  void profile_access(Cycles t, SiteId site, std::uint64_t page,
-                      profile::AccessClass cls) {
-    if (profile_on_) cur_.profile.add_access(t, site, page, cls);
+  void profile_access(SiteId site, profile::AccessClass cls) {
+    if (profile_on_) cur_.profile.add_access(site, cls);
   }
 
   void record(Hist h, std::uint64_t v) {
@@ -213,7 +205,6 @@ class Observer {
  private:
   bool trace_enabled_ = false;
   bool profile_on_ = false;
-  Cycles profile_interval_ = profile::kDefaultIntervalCycles;
   std::uint64_t event_limit_ = 1'000'000;
   std::uint64_t events_retained_ = 0;
   std::uint64_t next_event_id_ = 0;  ///< per-run; reset in attach()

@@ -57,9 +57,11 @@ TEST(CliDeath, OverflowingTraceLimitExits2) {
               ::testing::ExitedWithCode(2), "not a non-negative integer");
 }
 
-TEST(CliDeath, ZeroProfileIntervalExits2) {
-  EXPECT_EXIT(parse_args({"--profile-interval=0"}),
-              ::testing::ExitedWithCode(2), "not a positive integer");
+TEST(CliDeath, ProfileIntervalIsAnUnknownFlag) {
+  // The profile lost its interval timelines, and their width with them.
+  EXPECT_EXIT(parse_args({"--profile-interval=65536"}),
+              ::testing::ExitedWithCode(2),
+              "unknown flag '--profile-interval=65536'");
 }
 
 TEST(CliDeath, RemovedAdaptiveFlagsAreUnknown) {

@@ -11,7 +11,7 @@
 #include "olden/fault/fault_plane.hpp"
 #include "olden/fault/fault_spec.hpp"
 #include "olden/olden.hpp"
-#include "olden/profile/profile.hpp"
+#include "olden/profile/feedback.hpp"
 #include "olden/trace/observer.hpp"
 #include "suite_grid.hpp"
 #include "trace_digest.hpp"
@@ -254,9 +254,9 @@ std::string zero_wire_ledger(const std::string& stats) {
 class ZeroFaults : public ::testing::TestWithParam<test::GridCell> {};
 
 // Installing a plane, disabled or injecting nothing, must not perturb a
-// byte of any observability artifact: the trace, the profile, and the
-// stats document apart from the plane's own wire ledger (the messages it
-// saw, all of which arrived on time).
+// byte of any observability artifact: the trace, the feedback document,
+// and the stats document apart from the plane's own wire ledger (the
+// messages it saw, all of which arrived on time).
 TEST_P(ZeroFaults, ByteIdenticalToNoPlane) {
   const auto& [name, scheme] = GetParam();
   const bench::Benchmark* b = bench::find_benchmark(name);
@@ -275,7 +275,7 @@ TEST_P(ZeroFaults, ByteIdenticalToNoPlane) {
       trace::Observer obs;
       obs.set_trace_enabled(true);
       obs.enable_profile();
-      obs.begin_run("zero-ab");
+      obs.begin_run("zero-ab", {{"benchmark", name}});
       bench::BenchConfig cfg{.nprocs = nprocs, .scheme = scheme.scheme};
       cfg.tiny = true;
       cfg.observer = &obs;
@@ -283,7 +283,7 @@ TEST_P(ZeroFaults, ByteIdenticalToNoPlane) {
       (void)b->run(cfg);
       traces[i] = test::trace_bytes(obs);
       stats[i] = zero_wire_ledger(trace::stats_json(obs));
-      profiles[i] = profile::profile_json(obs);
+      profiles[i] = profile::feedback_from_profile(obs.runs());
     }
     for (int i = 1; i < 3; ++i) {
       SCOPED_TRACE(std::string(labels[i]) + " at p=" +

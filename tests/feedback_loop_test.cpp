@@ -1,8 +1,7 @@
 // The offline feedback loop end to end on the 30 tiny cells (ten
-// benchmarks x three static schemes, p=8): a profiled run, the
-// scoreboard's feedback document (what `olden-analyze --profile
-// --feedback-out` writes) and a rerun with that document applied (what
-// `--heuristic=profile:FILE` does). The loop is the one path left that
+// benchmarks x three static schemes, p=8): a profiled run, the feedback
+// document graded from it (what `--profile=FILE` writes) and a rerun with
+// that document applied (what `--heuristic=profile:FILE` does). The loop is the one path left that
 // re-decides a site's mechanism, so every cell's rerun must still compute
 // the host reference's checksum, and both makespans and the re-decided
 // sites are pinned. A cell whose feedback re-decides nothing must not
@@ -17,11 +16,8 @@
 #include <tuple>
 #include <vector>
 
-#include "olden/analyze/profile_report.hpp"
 #include "olden/bench/benchmark.hpp"
 #include "olden/profile/feedback.hpp"
-#include "olden/profile/profile.hpp"
-#include "olden/profile/profile_reader.hpp"
 #include "olden/trace/observer.hpp"
 
 namespace olden::bench {
@@ -96,15 +92,11 @@ TEST_P(FeedbackLoop, RerunValidatesAndMatchesPins) {
   const BenchResult profiled = b->run(cfg);
   cfg.observer = nullptr;
 
-  // The profile goes through its JSON document, as between bench_cell and
-  // olden-analyze, and the feedback through its text.
-  profile::ProfileDoc doc;
-  std::string err;
-  ASSERT_TRUE(
-      profile::parse_profile_json(profile::profile_json(obs), &doc, &err))
-      << err;
+  // The feedback goes through its text, as between the profiled run and
+  // the rerun.
   profile::FeedbackTable feedback;
-  ASSERT_TRUE(feedback.parse(analyze::feedback_from_profile(doc), &err))
+  std::string err;
+  ASSERT_TRUE(feedback.parse(profile::feedback_from_profile(obs.runs()), &err))
       << err;
   EXPECT_TRUE(feedback.stale_uids(name, b->num_sites()).empty());
 

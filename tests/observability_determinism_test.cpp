@@ -57,7 +57,7 @@ TEST_P(ObservabilityAB, TracingDoesNotPerturbTheRun) {
   trace::Observer obs_prof;
   obs_prof.set_trace_enabled(true);
   obs_prof.set_event_limit(1000);
-  obs_prof.enable_profile(4096);  // small interval: many boundary slices
+  obs_prof.enable_profile();
   obs_prof.begin_run(std::string(name) + "/ab");
   cfg.observer = &obs_prof;
   const BenchResult prof = b->run(cfg);
@@ -67,7 +67,7 @@ TEST_P(ObservabilityAB, TracingDoesNotPerturbTheRun) {
   EXPECT_EQ(prof.kernel_cycles, off.kernel_cycles);
   EXPECT_EQ(test::trace_bytes(obs_prof), test::trace_bytes(obs));
   ASSERT_GE(obs_prof.runs().size(), 1u);
-  EXPECT_GT(obs_prof.runs().back().profile.total_accesses(), 0u);
+  EXPECT_FALSE(obs_prof.runs().back().profile.sites.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,21 +1,19 @@
-// The interval-sampled profiling plane (src/olden/profile/): the
-// zero-virtual-cycle invariant (profiling on/off yields byte-identical
-// traces and equal makespans, with or without fault injection), profile
-// determinism across repeats and across serial-vs-merged observers,
-// interval splitting arithmetic, the feedback-file grammar and its
-// application order in Benchmark::site_table, the profile JSON reader,
-// and the scoreboard grading rules.
+// The profiling plane (src/olden/profile/): the zero-virtual-cycle
+// invariant (profiling on/off yields byte-identical traces and equal
+// makespans, with or without fault injection), determinism of the
+// feedback document across repeats and across serial-vs-merged
+// observers, the site counts against the Machine's, the feedback-file
+// grammar and its application order in Benchmark::site_table, and the
+// scoreboard grading rules.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
 
-#include "olden/analyze/profile_report.hpp"
 #include "olden/bench/benchmark.hpp"
 #include "olden/fault/fault_spec.hpp"
 #include "olden/profile/feedback.hpp"
 #include "olden/profile/profile.hpp"
-#include "olden/profile/profile_reader.hpp"
 #include "olden/trace/observer.hpp"
 #include "suite_grid.hpp"
 #include "trace_digest.hpp"
@@ -27,102 +25,6 @@ using bench::BenchConfig;
 using bench::BenchResult;
 using bench::Benchmark;
 using bench::find_benchmark;
-
-// --- interval splitting ----------------------------------------------------
-
-TEST(ProfileIntervals, CycleSpansSplitExactlyAcrossBoundaries) {
-  profile::RunProfile rp;
-  rp.enabled = true;
-  rp.interval_cycles = 100;
-  rp.add_cycles(95, 205, trace::CycleBucket::kCompute);
-  const auto bi = static_cast<std::size_t>(trace::CycleBucket::kCompute);
-  ASSERT_EQ(rp.intervals.size(), 3u);
-  EXPECT_EQ(rp.intervals[0].cycles[bi], 5u);
-  EXPECT_EQ(rp.intervals[1].cycles[bi], 100u);
-  EXPECT_EQ(rp.intervals[2].cycles[bi], 5u);
-}
-
-TEST(ProfileIntervals, ExactBoundarySpansTouchOneInterval) {
-  profile::RunProfile rp;
-  rp.enabled = true;
-  rp.interval_cycles = 100;
-  rp.add_cycles(100, 200, trace::CycleBucket::kIdle);
-  const auto bi = static_cast<std::size_t>(trace::CycleBucket::kIdle);
-  ASSERT_EQ(rp.intervals.size(), 1u);
-  EXPECT_EQ(rp.intervals.count(1), 1u);
-  EXPECT_EQ(rp.intervals[1].cycles[bi], 100u);
-}
-
-TEST(ProfileIntervals, EmptySpansAreIgnored) {
-  profile::RunProfile rp;
-  rp.enabled = true;
-  rp.interval_cycles = 100;
-  rp.add_cycles(0, 0, trace::CycleBucket::kCompute);
-  rp.add_cycles(42, 42, trace::CycleBucket::kCompute);
-  EXPECT_TRUE(rp.intervals.empty());
-}
-
-TEST(ProfileIntervals, LastCycleBeforeBoundaryStaysInItsInterval) {
-  profile::RunProfile rp;
-  rp.enabled = true;
-  rp.interval_cycles = 100;
-  rp.add_cycles(99, 100, trace::CycleBucket::kRetry);
-  const auto bi = static_cast<std::size_t>(trace::CycleBucket::kRetry);
-  ASSERT_EQ(rp.intervals.size(), 1u);
-  EXPECT_EQ(rp.intervals[0].cycles[bi], 1u);
-}
-
-TEST(ProfileIntervals, IntervalLargerThanSpanLandsEntirelyInIntervalZero) {
-  // --profile-interval larger than the whole makespan: everything the run
-  // did belongs to interval 0, and nothing is lost or double-counted.
-  profile::RunProfile rp;
-  rp.enabled = true;
-  rp.interval_cycles = 1ull << 40;
-  rp.add_cycles(0, 12345, trace::CycleBucket::kCompute);
-  rp.add_cycles(12345, 20000, trace::CycleBucket::kIdle);
-  const auto ci = static_cast<std::size_t>(trace::CycleBucket::kCompute);
-  const auto ii = static_cast<std::size_t>(trace::CycleBucket::kIdle);
-  ASSERT_EQ(rp.intervals.size(), 1u);
-  ASSERT_EQ(rp.intervals.count(0), 1u);
-  EXPECT_EQ(rp.intervals[0].cycles[ci], 12345u);
-  EXPECT_EQ(rp.intervals[0].cycles[ii], 20000u - 12345u);
-}
-
-TEST(ProfileIntervals, SpanEndingExactlyOnBoundaryCreatesNoEmptyTail) {
-  // A makespan that lands exactly on an interval boundary must not open
-  // an empty trailing interval: cycle [199] is the last cycle of interval
-  // 1, and interval 2 never exists.
-  profile::RunProfile rp;
-  rp.enabled = true;
-  rp.interval_cycles = 100;
-  rp.add_cycles(0, 200, trace::CycleBucket::kCompute);
-  const auto bi = static_cast<std::size_t>(trace::CycleBucket::kCompute);
-  ASSERT_EQ(rp.intervals.size(), 2u);
-  EXPECT_EQ(rp.intervals[0].cycles[bi], 100u);
-  EXPECT_EQ(rp.intervals[1].cycles[bi], 100u);
-  EXPECT_EQ(rp.intervals.count(2), 0u);
-}
-
-TEST(ProfileIntervals, ZeroCycleTailAtExactBoundaryConservesTotals) {
-  // Mirrors Observer::finish() when a processor's clock already equals
-  // the makespan and both sit exactly on an interval boundary: the
-  // trailing-idle add is a zero-cycle span, adds nothing, and the summed
-  // interval cycles still equal nprocs * makespan.
-  constexpr std::uint64_t kMakespan = 300;
-  profile::RunProfile rp;
-  rp.enabled = true;
-  rp.interval_cycles = 100;
-  rp.add_cycles(0, kMakespan, trace::CycleBucket::kCompute);  // proc A
-  rp.add_cycles(0, 250, trace::CycleBucket::kCompute);        // proc B...
-  rp.add_cycles(250, kMakespan, trace::CycleBucket::kIdle);   // ...then idle
-  rp.add_cycles(kMakespan, kMakespan, trace::CycleBucket::kIdle);  // zero tail
-  std::uint64_t sum = 0;
-  for (const auto& [idx, iv] : rp.intervals) {
-    for (std::size_t b = 0; b < trace::kNumBuckets; ++b) sum += iv.cycles[b];
-  }
-  EXPECT_EQ(sum, 2 * kMakespan);
-  EXPECT_EQ(rp.intervals.count(3), 0u);  // boundary opened no new interval
-}
 
 // --- zero perturbation -----------------------------------------------------
 
@@ -140,10 +42,10 @@ TEST(ProfileZeroPerturbation, ProfilingChangesNoCycleOrTraceByte) {
   cfg.observer = &off;
   const BenchResult r_off = b->run(cfg);
 
-  // Traced, profiling on (small interval: many boundary crossings).
+  // Traced, profiling on.
   trace::Observer on;
   on.set_trace_enabled(true);
-  on.enable_profile(1024);
+  on.enable_profile();
   on.begin_run("ab");
   cfg.observer = &on;
   const BenchResult r_on = b->run(cfg);
@@ -155,10 +57,7 @@ TEST(ProfileZeroPerturbation, ProfilingChangesNoCycleOrTraceByte) {
 
   // And the profile actually recorded the run.
   ASSERT_EQ(on.runs().size(), 1u);
-  const profile::RunProfile& p = on.runs()[0].profile;
-  EXPECT_TRUE(p.enabled);
-  EXPECT_GT(p.total_accesses(), 0u);
-  EXPECT_FALSE(p.intervals.empty());
+  EXPECT_FALSE(on.runs()[0].profile.sites.empty());
 }
 
 TEST(ProfileZeroPerturbation, HoldsUnderFaultInjection) {
@@ -178,15 +77,15 @@ TEST(ProfileZeroPerturbation, HoldsUnderFaultInjection) {
   std::string profiles[2];
   for (int i = 0; i < 2; ++i) {
     trace::Observer obs;
-    obs.enable_profile(4096);
+    obs.enable_profile();
     obs.begin_run("faulty", {{"benchmark", b->name()}});
     cfg.observer = &obs;
     const BenchResult r = b->run(cfg);
     EXPECT_EQ(r.checksum, bare.checksum);
     EXPECT_EQ(r.total_cycles, bare.total_cycles);
-    profiles[i] = profile::profile_json(obs);
+    profiles[i] = profile::feedback_from_profile(obs.runs());
   }
-  // The profile itself is as deterministic as the (seeded) fault plane.
+  // The document is as deterministic as the (seeded) fault plane.
   EXPECT_EQ(profiles[0], profiles[1]);
 }
 
@@ -204,7 +103,7 @@ TEST(ProfileDeterminism, RepeatedRunsProduceByteIdenticalProfiles) {
     cfg.tiny = true;
     cfg.observer = &obs;
     (void)b->run(cfg);
-    profiles[i] = profile::profile_json(obs);
+    profiles[i] = profile::feedback_from_profile(obs.runs());
   }
   EXPECT_EQ(profiles[0], profiles[1]);
 }
@@ -217,7 +116,7 @@ TEST(ProfileDeterminism, AdoptedWorkerProfilesMatchSerial) {
   const char* labels[2] = {"cell/local", "cell/global"};
 
   trace::Observer serial;
-  serial.enable_profile(8192);
+  serial.enable_profile();
   for (int i = 0; i < 2; ++i) {
     serial.begin_run(labels[i], {{"benchmark", b->name()}});
     BenchConfig cfg{.nprocs = 8, .scheme = schemes[i]};
@@ -230,7 +129,7 @@ TEST(ProfileDeterminism, AdoptedWorkerProfilesMatchSerial) {
   trace::Observer main_obs;
   trace::Observer workers[2];
   for (int i = 0; i < 2; ++i) {
-    workers[i].enable_profile(8192);
+    workers[i].enable_profile();
     workers[i].begin_run(labels[i], {{"benchmark", b->name()}});
     BenchConfig cfg{.nprocs = 8, .scheme = schemes[i]};
     cfg.tiny = true;
@@ -240,70 +139,8 @@ TEST(ProfileDeterminism, AdoptedWorkerProfilesMatchSerial) {
   main_obs.adopt_runs_from(workers[0]);
   main_obs.adopt_runs_from(workers[1]);
 
-  EXPECT_EQ(profile::profile_json(main_obs), profile::profile_json(serial));
-}
-
-// --- conservation ----------------------------------------------------------
-
-TEST(ProfileConservation, IntervalCyclesSumToNprocsTimesMakespan) {
-  const Benchmark* b = find_benchmark("Power");
-  ASSERT_NE(b, nullptr);
-  trace::Observer obs;
-  obs.enable_profile(2048);
-  obs.begin_run("conserve", {{"benchmark", b->name()}});
-  BenchConfig cfg{.nprocs = 8};
-  cfg.tiny = true;
-  cfg.observer = &obs;
-  (void)b->run(cfg);
-
-  ASSERT_EQ(obs.runs().size(), 1u);
-  const trace::RunRecord& run = obs.runs()[0];
-  std::uint64_t cycle_sum = 0;
-  std::uint64_t access_sum = 0;
-  for (const auto& [idx, iv] : run.profile.intervals) {
-    for (std::size_t bkt = 0; bkt < trace::kNumBuckets; ++bkt) {
-      cycle_sum += iv.cycles[bkt];
-    }
-    access_sum += iv.accesses;
-  }
-  EXPECT_EQ(cycle_sum,
-            static_cast<std::uint64_t>(run.nprocs) * run.makespan);
-  EXPECT_EQ(access_sum, run.profile.total_accesses());
-  std::uint64_t timeline_sum = 0;
-  for (const auto& [site, s] : run.profile.sites) {
-    std::uint64_t per_site = 0;
-    for (const auto& [iv, n] : s.timeline) per_site += n;
-    EXPECT_EQ(per_site, s.accesses()) << "site " << site;
-    timeline_sum += per_site;
-  }
-  EXPECT_EQ(timeline_sum, access_sum);
-}
-
-TEST(ProfileConservation, HoldsWhenIntervalExceedsMakespan) {
-  // End-to-end arm of the interval-larger-than-makespan case: one giant
-  // interval absorbs the whole run and the conservation identity holds.
-  const Benchmark* b = find_benchmark("TreeAdd");
-  ASSERT_NE(b, nullptr);
-  trace::Observer obs;
-  obs.enable_profile(1ull << 40);
-  obs.begin_run("one-interval", {{"benchmark", b->name()}});
-  BenchConfig cfg{.nprocs = 8};
-  cfg.tiny = true;
-  cfg.observer = &obs;
-  (void)b->run(cfg);
-
-  ASSERT_EQ(obs.runs().size(), 1u);
-  const trace::RunRecord& run = obs.runs()[0];
-  ASSERT_EQ(run.profile.intervals.size(), 1u);
-  ASSERT_EQ(run.profile.intervals.count(0), 1u);
-  std::uint64_t cycle_sum = 0;
-  for (const auto& [idx, iv] : run.profile.intervals) {
-    for (std::size_t bkt = 0; bkt < trace::kNumBuckets; ++bkt) {
-      cycle_sum += iv.cycles[bkt];
-    }
-  }
-  EXPECT_EQ(cycle_sum,
-            static_cast<std::uint64_t>(run.nprocs) * run.makespan);
+  EXPECT_EQ(profile::feedback_from_profile(main_obs.runs()),
+            profile::feedback_from_profile(serial.runs()));
 }
 
 // --- site counts against the machine --------------------------------------
@@ -531,129 +368,82 @@ TEST(Feedback, FeedbackRunStillValidatesChecksum) {
   EXPECT_EQ(r.checksum, b->reference_checksum(cfg));
 }
 
-// --- profile JSON reader ---------------------------------------------------
+// --- the document --profile writes -----------------------------------------
 
-TEST(ProfileReader, RoundTripsAnEmittedProfile) {
-  const Benchmark* b = find_benchmark("Health");
+TEST(Feedback, DocumentCarriesEvidenceAndParsesBack) {
+  // One row per site, each after a comment naming the site's uid and its
+  // evidence, then the scoreboard line; the grammar reads it all back.
+  const Benchmark* b = find_benchmark("MST");
   ASSERT_NE(b, nullptr);
   trace::Observer obs;
   obs.enable_profile();
-  obs.begin_run("rt", {{"benchmark", b->name()}});
-  BenchConfig cfg{.nprocs = 4};
-  cfg.tiny = true;
-  cfg.observer = &obs;
-  (void)b->run(cfg);
-
-  profile::ProfileDoc doc;
-  std::string err;
-  ASSERT_TRUE(profile::parse_profile_json(profile::profile_json(obs), &doc, &err))
-      << err;
-  EXPECT_EQ(doc.schema_version, profile::kProfileSchemaVersion);
-  ASSERT_EQ(doc.runs.size(), 1u);
-  const profile::ProfileRun& run = doc.runs[0];
-  EXPECT_EQ(run.benchmark, b->name());
-  EXPECT_EQ(run.total_accesses, obs.runs()[0].profile.total_accesses());
-  EXPECT_EQ(run.sites.size(), obs.runs()[0].profile.sites.size());
-  ASSERT_FALSE(run.sites.empty());
-  EXPECT_EQ(run.sites[0].site_uid,
-            b->name() + "#" + std::to_string(run.sites[0].site));
-}
-
-TEST(ProfileReader, RejectsCorruptAndWrongVersionDocuments) {
-  profile::ProfileDoc doc;
-  std::string err;
-  EXPECT_FALSE(profile::parse_profile_json("{", &doc, &err));
-  EXPECT_FALSE(profile::parse_profile_json("not json at all", &doc, &err));
-  EXPECT_FALSE(profile::parse_profile_json(
-      R"({"profile_schema_version":99,"generator":"olden-profile","runs":[]})",
-      &doc, &err));
-  EXPECT_NE(err.find("99"), std::string::npos) << err;
-  EXPECT_EQ(doc.schema_version, 99);  // reported so callers can say why
-  EXPECT_FALSE(profile::parse_profile_json(
-      R"({"profile_schema_version":1,"generator":"other","runs":[]})", &doc,
-      &err));
-  // Deep nesting is an error, not a stack overflow: past the depth bound
-  // the parser stops at the byte where the bound was crossed.
-  for (const std::string& open : {std::string("["), std::string("{\"a\":")}) {
-    std::string deep;
-    for (int i = 0; i < 100000; ++i) deep += open;
-    err.clear();
-    EXPECT_FALSE(profile::parse_profile_json(deep, &doc, &err));
-    EXPECT_NE(err.find("profile JSON byte " + std::to_string(32 * open.size()) +
-                       ": nesting deeper than 32 levels"),
-              std::string::npos)
-        << err;
-  }
-}
-
-TEST(ProfileReader, EveryTruncationFailsCleanly) {
-  const Benchmark* b = find_benchmark("TreeAdd");
-  ASSERT_NE(b, nullptr);
-  trace::Observer obs;
-  obs.enable_profile();
-  obs.begin_run("cut", {{"benchmark", b->name()}});
+  obs.begin_run("doc", {{"benchmark", b->name()}});
   BenchConfig cfg{.nprocs = 8};
   cfg.tiny = true;
   cfg.observer = &obs;
   (void)b->run(cfg);
-  std::string text = profile::profile_json(obs);
-  // Without its trailing newline the document is still whole; every
-  // shorter prefix is not.
-  while (!text.empty() && text.back() == '\n') text.pop_back();
-  profile::ProfileDoc doc;
+  // A run without a benchmark name has no uid to join on and adds nothing.
+  obs.begin_run("anonymous");
+  (void)b->run(cfg);
+
+  const std::string doc = profile::feedback_from_profile(obs.runs());
+  EXPECT_EQ(doc.rfind("# olden-profile-feedback v1\n", 0), 0u) << doc;
+  EXPECT_NE(doc.find("\n# MST#2 "), std::string::npos) << doc;
+  EXPECT_NE(doc.find("DISAGREE (recommend cache)\nMST 2 cache\n"),
+            std::string::npos)
+      << doc;
+  const std::size_t sites = obs.runs()[0].profile.sites.size();
+  profile::FeedbackTable t;
   std::string err;
-  ASSERT_TRUE(profile::parse_profile_json(text, &doc, &err)) << err;
-  ASSERT_GT(text.size(), 4096u);
-  for (std::size_t len = 0; len < text.size(); ++len) {
-    profile::ProfileDoc cut;
-    err.clear();
-    EXPECT_FALSE(profile::parse_profile_json(text.substr(0, len), &cut, &err))
-        << "a " << len << "-byte prefix parsed as complete";
-    EXPECT_FALSE(err.empty()) << len;
-  }
+  ASSERT_TRUE(t.parse(doc, &err)) << err;
+  EXPECT_EQ(t.size(), sites);
+  EXPECT_NE(doc.find("# scoreboard: " + std::to_string(sites) + " sites, " +
+                     std::to_string(sites - 2) + " agree, 2 disagree\n"),
+            std::string::npos)
+      << doc;
 }
 
 // --- scoreboard grading ----------------------------------------------------
 
-profile::SiteRow site_row(const char* mech, std::uint64_t local_reads,
+profile::SiteProfile site_counts(Mechanism chosen, std::uint64_t local_reads,
                           std::uint64_t hits, std::uint64_t misses,
                           std::uint64_t write_throughs,
                           std::uint64_t migrations) {
-  profile::SiteRow s;
-  s.mechanism = mech;
+  profile::SiteProfile s;
+  s.mechanism = chosen;
   s.local_reads = local_reads;
   s.cache_hits = hits;
   s.cache_misses = misses;
   s.write_throughs = write_throughs;
   s.migrations = migrations;
-  s.accesses = local_reads + hits + misses + write_throughs + migrations;
   return s;
 }
 
+constexpr Mechanism kMig = Mechanism::kMigrate;
+constexpr Mechanism kCache = Mechanism::kCache;
+
 TEST(Scoreboard, MigrateSiteBelowAffinityBarFlipsToCache) {
-  const auto g =
-      analyze::grade_site(site_row("migrate", 50, 0, 0, 0, 50));
+  const auto g = profile::grade_site(site_counts(kMig, 50, 0, 0, 0, 50));
   EXPECT_FALSE(g.agree);
   EXPECT_EQ(g.recommended, Mechanism::kCache);
 
-  const auto ok =
-      analyze::grade_site(site_row("migrate", 95, 0, 0, 0, 5));
+  const auto ok = profile::grade_site(site_counts(kMig, 95, 0, 0, 0, 5));
   EXPECT_TRUE(ok.agree);
 }
 
 TEST(Scoreboard, CacheSiteFlipsOnlyOnRemoteTrafficWithPoorReuse) {
-  const auto bad = analyze::grade_site(site_row("cache", 0, 10, 90, 0, 0));
+  const auto bad = profile::grade_site(site_counts(kCache, 0, 10, 90, 0, 0));
   EXPECT_FALSE(bad.agree);
   EXPECT_EQ(bad.recommended, Mechanism::kMigrate);
 
-  const auto reuse = analyze::grade_site(site_row("cache", 0, 90, 10, 0, 0));
+  const auto reuse = profile::grade_site(site_counts(kCache, 0, 90, 10, 0, 0));
   EXPECT_TRUE(reuse.agree);
 
   // Write-only remote traffic: no reuse signal, never flipped.
-  const auto writes = analyze::grade_site(site_row("cache", 0, 0, 0, 100, 0));
+  const auto writes = profile::grade_site(site_counts(kCache, 0, 0, 0, 100, 0));
   EXPECT_TRUE(writes.agree);
 
-  const auto idle = analyze::grade_site(site_row("cache", 0, 0, 0, 0, 0));
+  const auto idle = profile::grade_site(site_counts(kCache, 0, 0, 0, 0, 0));
   EXPECT_TRUE(idle.agree);
 }
 
@@ -661,17 +451,15 @@ TEST(Scoreboard, CacheSiteFlipsOnlyOnRemoteTrafficWithPoorReuse) {
 // (graded_mechanism), so no rounding moves a site across a bar.
 TEST(Scoreboard, BarsAreIntegerExact) {
   // Exactly 90% local meets the affinity bar.
-  const auto at_bar =
-      analyze::grade_site(site_row("migrate", 900, 0, 0, 0, 100));
+  const auto at_bar = profile::grade_site(site_counts(kMig, 900, 0, 0, 0, 100));
   EXPECT_TRUE(at_bar.agree);
   // 899 of 1000 local falls just below it.
-  const auto below =
-      analyze::grade_site(site_row("migrate", 899, 0, 0, 0, 101));
+  const auto below = profile::grade_site(site_counts(kMig, 899, 0, 0, 0, 101));
   EXPECT_FALSE(below.agree);
   EXPECT_EQ(below.recommended, Mechanism::kCache);
   // Exactly 50% hits meets the hit-rate floor, however remote the site.
-  EXPECT_TRUE(analyze::grade_site(site_row("cache", 0, 50, 50, 0, 0)).agree);
-  EXPECT_FALSE(analyze::grade_site(site_row("cache", 0, 49, 51, 0, 0)).agree);
+  EXPECT_TRUE(profile::grade_site(site_counts(kCache, 0, 50, 50, 0, 0)).agree);
+  EXPECT_FALSE(profile::grade_site(site_counts(kCache, 0, 49, 51, 0, 0)).agree);
 }
 
 }  // namespace

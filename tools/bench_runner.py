@@ -4,7 +4,6 @@
 Usage: bench_runner.py [--build-dir DIR] [--out FILE] [--tiny | --paper]
                        [--nprocs N] [--revision REV] [--benchmarks A,B,...]
                        [--jobs N] [--timeout SECS] [--keep-traces DIR]
-                       [--keep-profiles DIR]
 
 For every benchmark in the suite (or the --benchmarks subset) this runs
 `bench_cell` across the three coherence schemes with --stats-json and
@@ -26,12 +25,6 @@ DIR/<benchmark>.trace.bin instead of deleting it after analysis. Paired
 with a baseline's archive, tools/bench_compare.py --traces-old/--traces-new
 can then attribute any regression with `olden-analyze --diff` (the runs
 inside are labeled BENCH/<benchmark>/p=<nprocs>/<scheme>).
-
---keep-profiles DIR additionally runs every cell with --profile and
-archives the interval-sampled profile JSON as
-DIR/<benchmark>.profile.json (see docs/PROFILING.md). Profiling charges
-zero virtual cycles, so every makespan, trace and stats byte in the
-document is identical with or without this flag.
 
 --paper selects the original paper problem sizes, whose traces run to
 hundreds of MB; streaming keeps every tier in bounded memory.
@@ -138,7 +131,7 @@ def run_child(cmd, what, timeout):
 
 
 def run_benchmark(bench_cell, analyze, name, nprocs, mode, timeout, tmpdir,
-                  keep_traces=None, keep_profiles=None):
+                  keep_traces=None):
     """Run one benchmark across all schemes; return its cells.
 
     Thread-safe: all paths under tmpdir are keyed by benchmark name and
@@ -149,17 +142,11 @@ def run_benchmark(bench_cell, analyze, name, nprocs, mode, timeout, tmpdir,
     cmd = [bench_cell, f"--benchmark={name}", f"--nprocs={nprocs}",
            f"--schemes={','.join(SCHEMES)}",
            f"--stats-json={stats_path}", f"--trace-bin={trace_path}"]
-    profile_path = os.path.join(tmpdir, f"{name}.profile.json")
-    if keep_profiles is not None:
-        cmd.append(f"--profile={profile_path}")
     if mode == "tiny":
         cmd.append("--tiny")
     elif mode == "paper":
         cmd += ["--paper-size", f"--trace-limit={PAPER_TRACE_LIMIT}"]
     run_child(cmd, f"bench_cell for {name}", timeout)
-    if keep_profiles is not None:
-        shutil.move(profile_path,
-                    os.path.join(keep_profiles, f"{name}.profile.json"))
 
     proc = run_child([analyze, "--trace-bin", trace_path, "--json"],
                      f"olden-analyze for {name}", timeout)
@@ -215,8 +202,7 @@ def run_matrix(bench_cell, analyze, names, args, mode, cells):
             for name in names:
                 cells.extend(run_benchmark(bench_cell, analyze, name,
                                            args.nprocs, mode, args.timeout,
-                                           tmpdir, args.keep_traces,
-                                           args.keep_profiles))
+                                           tmpdir, args.keep_traces))
                 print(f"  {name}: {len(SCHEMES)} cells ok")
             return
         # Completion order is nondeterministic; assembly order is not:
@@ -226,7 +212,7 @@ def run_matrix(bench_cell, analyze, names, args, mode, cells):
             futures = {
                 name: pool.submit(run_benchmark, bench_cell, analyze, name,
                                   args.nprocs, mode, args.timeout, tmpdir,
-                                  args.keep_traces, args.keep_profiles)
+                                  args.keep_traces)
                 for name in names}
             for name in names:
                 cells.extend(futures[name].result())
@@ -257,10 +243,6 @@ def main(argv):
                     help="archive each benchmark's binary trace as "
                     "DIR/<benchmark>.trace.bin for later cross-run diffing "
                     "(default: traces are deleted after analysis)")
-    ap.add_argument("--keep-profiles", default=None, metavar="DIR",
-                    help="run every cell with --profile and archive the "
-                    "profile JSON as DIR/<benchmark>.profile.json "
-                    "(default: no profiling)")
     ap.add_argument("--revision", default=None,
                     help="revision label (default: git rev-parse --short)")
     ap.add_argument("--benchmarks", default=None,
@@ -288,8 +270,6 @@ def main(argv):
     revision = args.revision or git_revision()
     if args.keep_traces is not None:
         os.makedirs(args.keep_traces, exist_ok=True)
-    if args.keep_profiles is not None:
-        os.makedirs(args.keep_profiles, exist_ok=True)
     mode = "tiny" if args.tiny else "paper" if args.paper else "default"
     cells = []
     try:

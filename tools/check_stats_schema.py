@@ -3,7 +3,6 @@
 
 Usage: check_stats_schema.py STATS.json [STATS2.json ...]
        check_stats_schema.py --diff DIFF.json [DIFF2.json ...]
-       check_stats_schema.py --profile PROFILE.json [PROFILE2.json ...]
 
 Default mode checks the structural schema (version 7, documented in
 docs/OBSERVABILITY.md) and the arithmetic invariants the exporter
@@ -19,13 +18,6 @@ independently re-verifies the exactness invariant: the bucket-row
 deltas, and each partition's top rows plus "other" rollup, must sum
 exactly to makespan_delta_cycles.
 
---profile validates `--profile` documents (profile_schema_version 1,
-documented in docs/PROFILING.md) and re-derives their conservation
-invariants: every site's counters sum to its access count, every site
-timeline sums to the same, interval/site/total access counts agree,
-migration and future-steal counts agree across the interval, per-proc
-and totals views, and interval cycle buckets sum to nprocs x makespan.
-
 Exit codes: 0 all documents valid, 1 schema or invariant violation,
 2 usage error or unknown schema version (a reader that only speaks
 version N must not guess at version N+1).
@@ -38,7 +30,6 @@ import sys
 
 SCHEMA_VERSION = 7
 DIFF_SCHEMA_VERSION = 1
-PROFILE_SCHEMA_VERSION = 1
 
 MSG_CLASSES = ["migration", "return_stub", "future_resolve", "fill",
                "invalidate", "ts_check"]
@@ -366,178 +357,11 @@ def check_diff_document(doc, path):
     return len(diffs)
 
 
-SITE_COUNTER_KEYS = ["local_reads", "local_writes", "cache_hits",
-                     "cache_misses", "write_throughs", "migrations"]
-
-PAGE_COUNTER_KEYS = ["local_accesses", "cache_hits", "cache_misses",
-                     "write_throughs", "line_fills", "lines_invalidated",
-                     "timestamp_checks"]
-
-
-def check_profile_site(site, ctx):
-    check_counter(site, "site", ctx)
-    total = 0
-    for key in SITE_COUNTER_KEYS:
-        check_counter(site, key, ctx)
-        total += site[key]
-    check_counter(site, "accesses", ctx)
-    require(site["accesses"] == total,
-            f"{ctx}: counters sum to {total}, accesses says "
-            f"{site['accesses']}")
-    require(isinstance(site.get("timeline"), list),
-            f"{ctx}: missing timeline")
-    timeline_total = 0
-    prev = -1
-    for entry in site["timeline"]:
-        require(isinstance(entry, list) and len(entry) == 2
-                and all(isinstance(v, int) and v >= 0 for v in entry),
-                f"{ctx}: timeline entries must be [interval, accesses] "
-                f"pairs")
-        require(entry[0] > prev, f"{ctx}: timeline out of order")
-        prev = entry[0]
-        timeline_total += entry[1]
-    require(timeline_total == site["accesses"],
-            f"{ctx}: timeline sums to {timeline_total}, accesses says "
-            f"{site['accesses']}")
-    return site["accesses"], site["migrations"]
-
-
-def check_profile_run(run, idx):
-    ctx = f"run[{idx}]"
-    require(isinstance(run.get("label"), str) and run["label"],
-            f"{ctx}: missing label")
-    ctx = f"run[{idx}] ({run['label']})"
-    require(isinstance(run.get("benchmark"), str),
-            f"{ctx}: missing benchmark")
-    check_counter(run, "nprocs", ctx)
-    require(run["nprocs"] >= 1, f"{ctx}: nprocs must be >= 1")
-    require(run.get("scheme") in SCHEMES,
-            f"{ctx}: scheme must be one of {sorted(SCHEMES)}")
-    require(isinstance(run.get("sequential_baseline"), bool),
-            f"{ctx}: missing sequential_baseline")
-    check_counter(run, "makespan_cycles", ctx)
-    check_counter(run, "interval_cycles", ctx)
-    require(run["interval_cycles"] >= 1,
-            f"{ctx}: interval_cycles must be >= 1")
-
-    totals = run.get("totals")
-    require(isinstance(totals, dict), f"{ctx}: missing totals")
-    for key in ("accesses", "migrations", "future_steals"):
-        check_counter(totals, key, ctx + " totals")
-
-    require(isinstance(run.get("sites"), list), f"{ctx}: missing sites")
-    site_accesses = 0
-    site_migrations = 0
-    for i, site in enumerate(run["sites"]):
-        acc, mig = check_profile_site(site, f"{ctx} sites[{i}]")
-        site_accesses += acc
-        site_migrations += mig
-    require(site_accesses == totals["accesses"],
-            f"{ctx}: site accesses sum to {site_accesses}, totals say "
-            f"{totals['accesses']}")
-    # Site-attributed migrations can undercount (a depart without a site
-    # id is charged machine-wide only), never overcount.
-    require(site_migrations <= totals["migrations"],
-            f"{ctx}: site migrations sum to {site_migrations}, exceeding "
-            f"totals {totals['migrations']}")
-
-    require(isinstance(run.get("pages"), list), f"{ctx}: missing pages")
-    for i, page in enumerate(run["pages"]):
-        pctx = f"{ctx} pages[{i}]"
-        check_counter(page, "page", pctx)
-        for key in PAGE_COUNTER_KEYS:
-            check_counter(page, key, pctx)
-
-    require(isinstance(run.get("procs"), list), f"{ctx}: missing procs")
-    require(len(run["procs"]) == run["nprocs"],
-            f"{ctx}: procs has {len(run['procs'])} rows, nprocs is "
-            f"{run['nprocs']}")
-    out_total = in_total = steal_total = 0
-    for i, proc in enumerate(run["procs"]):
-        pctx = f"{ctx} procs[{i}]"
-        check_counter(proc, "proc", pctx)
-        require(proc["proc"] == i, f"{pctx}: out of order")
-        for key in ("migrations_out", "migrations_in", "future_steals"):
-            check_counter(proc, key, pctx)
-        out_total += proc["migrations_out"]
-        in_total += proc["migrations_in"]
-        steal_total += proc["future_steals"]
-    require(out_total == totals["migrations"],
-            f"{ctx}: proc migrations_out sum to {out_total}, totals say "
-            f"{totals['migrations']}")
-    require(in_total == totals["migrations"],
-            f"{ctx}: proc migrations_in sum to {in_total}, totals say "
-            f"{totals['migrations']}")
-    require(steal_total == totals["future_steals"],
-            f"{ctx}: proc future_steals sum to {steal_total}, totals say "
-            f"{totals['future_steals']}")
-
-    require(isinstance(run.get("intervals"), list),
-            f"{ctx}: missing intervals")
-    iv_accesses = iv_migrations = iv_steals = cycle_total = 0
-    prev = -1
-    for i, iv in enumerate(run["intervals"]):
-        ictx = f"{ctx} intervals[{i}]"
-        for key in ("interval", "start_cycle", "accesses", "migrations",
-                    "future_steals"):
-            check_counter(iv, key, ictx)
-        require(iv["interval"] > prev, f"{ictx}: out of order")
-        prev = iv["interval"]
-        require(iv["start_cycle"] == iv["interval"] * run["interval_cycles"],
-                f"{ictx}: start_cycle disagrees with interval index")
-        require(iv["start_cycle"] <= run["makespan_cycles"],
-                f"{ictx}: interval starts past the makespan")
-        iv_accesses += iv["accesses"]
-        iv_migrations += iv["migrations"]
-        iv_steals += iv["future_steals"]
-        cycles = iv.get("cycles")
-        require(isinstance(cycles, dict), f"{ictx}: missing cycles")
-        require(list(cycles.keys()) == BUCKET_KEYS,
-                f"{ictx}: cycles must be exactly {BUCKET_KEYS}, in order")
-        for key in BUCKET_KEYS:
-            check_counter(cycles, key, ictx + " cycles")
-            cycle_total += cycles[key]
-    require(iv_accesses == totals["accesses"],
-            f"{ctx}: interval accesses sum to {iv_accesses}, totals say "
-            f"{totals['accesses']}")
-    require(iv_migrations == totals["migrations"],
-            f"{ctx}: interval migrations sum to {iv_migrations}, totals "
-            f"say {totals['migrations']}")
-    require(iv_steals == totals["future_steals"],
-            f"{ctx}: interval future_steals sum to {iv_steals}, totals "
-            f"say {totals['future_steals']}")
-    want = run["nprocs"] * run["makespan_cycles"]
-    require(cycle_total == want,
-            f"{ctx}: interval cycle buckets sum to {cycle_total}, nprocs "
-            f"x makespan is {want} — conservation invariant violated")
-
-
-def check_profile_document(doc, path):
-    require(isinstance(doc, dict), f"{path}: top level must be an object")
-    version = doc.get("profile_schema_version")
-    require(isinstance(version, int),
-            f"{path}: missing profile_schema_version")
-    if version != PROFILE_SCHEMA_VERSION:
-        raise VersionError(
-            f"{path}: unknown profile_schema_version {version} (this "
-            f"checker speaks {PROFILE_SCHEMA_VERSION})")
-    require(doc.get("generator") == "olden-profile",
-            f"{path}: generator must be 'olden-profile'")
-    runs = doc.get("runs")
-    require(isinstance(runs, list), f"{path}: missing runs array")
-    for idx, run in enumerate(runs):
-        check_profile_run(run, idx)
-    return len(runs)
-
-
 def main(argv):
     args = argv[1:]
     mode = "stats"
     if args and args[0] == "--diff":
         mode = "diff"
-        args = args[1:]
-    elif args and args[0] == "--profile":
-        mode = "profile"
         args = args[1:]
     if not args:
         print(__doc__.strip(), file=sys.stderr)
@@ -548,8 +372,6 @@ def main(argv):
                 doc = json.load(f)
             if mode == "diff":
                 n = check_diff_document(doc, path)
-            elif mode == "profile":
-                n = check_profile_document(doc, path)
             else:
                 n = check_document(doc, path)
         except (OSError, json.JSONDecodeError, SchemaError) as e:
@@ -561,9 +383,6 @@ def main(argv):
         if mode == "diff":
             print(f"OK   {path}: {n} diff(s), "
                   f"diff schema v{DIFF_SCHEMA_VERSION}, exactness verified")
-        elif mode == "profile":
-            print(f"OK   {path}: {n} run(s), profile schema "
-                  f"v{PROFILE_SCHEMA_VERSION}, conservation verified")
         else:
             print(f"OK   {path}: {n} run(s), schema v{SCHEMA_VERSION}")
     return 0

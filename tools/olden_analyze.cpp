@@ -21,18 +21,9 @@
 // with --run-a/--run-b (A and B may be the same file, e.g. to diff two
 // schemes recorded in one suite trace).
 //
-//   olden-analyze --profile FILE [--top N] [--feedback-out FILE]
-//
-// Profile mode (see profile_report.hpp) reads the interval-sampled
-// profile JSON a bench binary's --profile flag wrote and reports, per
-// run: phase changes over the interval timeline, the page-heat ranking,
-// and the heuristic scoreboard grading each static migrate/cache decision
-// against observed behaviour. --feedback-out emits the per-site feedback
-// file bench binaries accept back via --heuristic=profile:FILE.
-//
-// Exit codes: 0 success, 1 unreadable/unsupported trace or profile
-// (including v1 logs and unknown schema versions, named explicitly),
-// missing run labels, or a diff invariant violation, 2 usage error.
+// Exit codes: 0 success, 1 unreadable/unsupported trace (including v1
+// logs, named explicitly), missing run labels, or a diff invariant
+// violation, 2 usage error.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -40,10 +31,8 @@
 #include <vector>
 
 #include "olden/analyze/diff.hpp"
-#include "olden/analyze/profile_report.hpp"
 #include "olden/analyze/report.hpp"
 #include "olden/analyze/streaming.hpp"
-#include "olden/profile/profile.hpp"
 #include "olden/support/io.hpp"
 #include "olden/trace/observer.hpp"
 
@@ -53,15 +42,8 @@ void usage(std::FILE* to) {
   std::fprintf(to,
                "usage: olden-analyze --trace-bin FILE [options]\n"
                "       olden-analyze --diff A B [pairing] [options]\n"
-               "       olden-analyze --profile FILE [options]\n"
                "  --trace-bin FILE   binary trace to analyze\n"
                "  --diff A B         diff two traces of the same workload\n"
-               "  --profile FILE     report on an interval-sampled profile "
-               "JSON\n"
-               "  --feedback-out FILE\n"
-               "                     with --profile: write the per-site "
-               "feedback\n"
-               "                     file for --heuristic=profile:FILE\n"
                "  --run LABEL        diff the run labeled LABEL from each side\n"
                "  --run-a LABEL      A-side run label (with --run-b; A and B\n"
                "  --run-b LABEL      may then be the same file)\n"
@@ -189,28 +171,6 @@ int run_diff(const std::string& path_a, const std::string& path_b,
   return 0;
 }
 
-int run_profile(const std::string& path, std::size_t top_n,
-                const std::string& feedback_out) {
-  olden::profile::ProfileDoc doc;
-  std::string err;
-  if (!olden::profile::load_profile_file(path, &doc, &err)) {
-    // The loader's messages already name the file.
-    std::fprintf(stderr, "olden-analyze: %s\n", err.c_str());
-    return 1;
-  }
-  std::fputs(olden::analyze::profile_human_report(doc, top_n).c_str(),
-             stdout);
-  if (!feedback_out.empty()) {
-    if (!olden::write_file(feedback_out,
-                           olden::analyze::feedback_from_profile(doc), &err)) {
-      std::fprintf(stderr, "olden-analyze: %s\n", err.c_str());
-      return 1;
-    }
-    std::printf("wrote feedback: %s\n", feedback_out.c_str());
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -224,8 +184,6 @@ int main(int argc, char** argv) {
   std::string json_out;
   bool json_stdout = false;
   std::size_t top_n = 10;
-  std::string profile_path;
-  std::string feedback_out;
 
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -242,10 +200,6 @@ int main(int argc, char** argv) {
       diff_mode = true;
       diff_a = value("--diff");
       diff_b = value("--diff");
-    } else if (std::strcmp(a, "--profile") == 0) {
-      profile_path = value("--profile");
-    } else if (std::strcmp(a, "--feedback-out") == 0) {
-      feedback_out = value("--feedback-out");
     } else if (std::strcmp(a, "--run") == 0) {
       run_label = value("--run");
     } else if (std::strcmp(a, "--run-a") == 0) {
@@ -270,11 +224,10 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--version") == 0) {
       std::printf(
           "olden-analyze: analysis schema v%d, diff schema v%d, binary "
-          "trace format v%d, profile schema v%d\n",
+          "trace format v%d\n",
           olden::analyze::kAnalysisSchemaVersion,
           olden::analyze::kDiffSchemaVersion,
-          olden::trace::kBinaryTraceVersion,
-          olden::profile::kProfileSchemaVersion);
+          olden::trace::kBinaryTraceVersion);
       return 0;
     } else if (std::strcmp(a, "--help") == 0) {
       usage(stdout);
@@ -284,26 +237,6 @@ int main(int argc, char** argv) {
       usage(stderr);
       return 2;
     }
-  }
-  if (!profile_path.empty()) {
-    if (diff_mode || !trace_path.empty()) {
-      std::fprintf(
-          stderr,
-          "olden-analyze: --profile is exclusive with --trace-bin/--diff\n");
-      return 2;
-    }
-    if (!run_label.empty() || !run_a.empty() || !run_b.empty() ||
-        json_stdout || !json_out.empty()) {
-      std::fprintf(stderr,
-                   "olden-analyze: --profile supports only --top and "
-                   "--feedback-out\n");
-      return 2;
-    }
-    return run_profile(profile_path, top_n, feedback_out);
-  }
-  if (!feedback_out.empty()) {
-    std::fprintf(stderr, "olden-analyze: --feedback-out requires --profile\n");
-    return 2;
   }
   if (diff_mode) {
     if (!trace_path.empty()) {
