@@ -36,7 +36,9 @@ bool parse_prob(std::string_view field, std::string_view key, double* out,
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size() || v < 0.0 || v > 1.0) {
+  // NaN fails every comparison, so the range check alone would let it in.
+  if (errno != 0 || end != buf.c_str() + buf.size() || !std::isfinite(v) ||
+      v < 0.0 || v > 1.0) {
     return fail(err, "faults: '" + std::string(key) + "' needs a probability in [0,1], got '" +
                          buf + "'");
   }

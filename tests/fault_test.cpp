@@ -62,6 +62,9 @@ TEST(FaultSpecParse, RejectsMalformedSpecs) {
       "drop=abc",             // not a number
       "drop=1.5",             // probability out of range
       "drop=-0.1",            // negative probability
+      "drop=nan",             // NaN passes every range comparison
+      "delay=nan:300",        // likewise for a delay probability
+      "hiccup=nan:5",         // and a hiccup probability
       "delay=0.5",            // missing :CYCLES
       "delay=0.5:0",          // zero delay cycles with positive probability
       "burst=100:200:2",      // LEN > PERIOD
@@ -104,6 +107,7 @@ TEST(FaultSpecParse, ErrorsNameTheOffendingToken) {
       {"delay=0.1:4294967297", "'delay cycles' must be at most"},
       {"hiccup=0.1:4294967297", "'hiccup cycles' must be at most"},
       {"burst=100:50:inf", "burst factor"},
+      {"delay=nan:300", "'delay' needs a probability in [0,1], got 'nan'"},
       {"classes=fill:frobs", "unknown class 'frobs'"},
       {"classes=fill:fill", "duplicate class 'fill'"},
       {"classes=", "unknown class ''"},
