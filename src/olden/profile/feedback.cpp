@@ -105,10 +105,8 @@ bool FeedbackTable::parse(const std::string& text, std::string* err) {
                               ": expected \"benchmark site mechanism\", got \"" +
                               stripped + "\"");
     }
-    unsigned long long site = 0;
-    char extra = 0;
-    if (std::sscanf(tok[1].c_str(), "%llu%c", &site, &extra) != 1 ||
-        site > 0xfffffffeull) {
+    std::uint64_t site = 0;
+    if (!parse_u64_strict(tok[1], &site) || site >= trace::kNoSite) {
       return set_err(err, "feedback line " + std::to_string(lineno) +
                               ": bad site index \"" + tok[1] + "\"");
     }

@@ -290,6 +290,17 @@ TEST(Feedback, RejectsMalformedRows) {
       t.parse("# olden-profile-feedback v1\nTreeAdd x migrate\n", &err));
   EXPECT_FALSE(
       t.parse("# olden-profile-feedback v1\nTreeAdd 0 sideways\n", &err));
+  // Site indices are plain digits: no sign, and no index past SiteId.
+  for (const char* index : {"+2", "-0", "4294967297"}) {
+    err.clear();
+    EXPECT_FALSE(t.parse(std::string("# olden-profile-feedback v1\nMST ") +
+                             index + " cache\n",
+                         &err))
+        << index;
+    EXPECT_NE(err.find(std::string("bad site index \"") + index + "\""),
+              std::string::npos)
+        << err;
+  }
   EXPECT_TRUE(t.empty());
 }
 
