@@ -69,7 +69,11 @@ int main(int argc, char** argv) try {
     } else {
       std::fprintf(stderr,
                    "usage: table2_speedups [--paper-size] "
-                   "[--heuristic=static|profile:FILE]\n%s",
+                   "[--heuristic=static|profile:FILE]\n"
+                   "  --heuristic=SPEC   'static' (default) or 'profile:FILE' "
+                   "to apply the\n"
+                   "                     per-site feedback a --profile run "
+                   "wrote\n%s",
                    ObsCli::usage());
       return 2;
     }
