@@ -61,8 +61,8 @@ void usage(std::FILE* to) {
                "  --jobs=N           run cells on N host threads (default 1;\n"
                "                     output identical to serial)\n"
                "  --heuristic=SPEC   'static' (default) or 'profile:FILE' to\n"
-               "                     apply the per-site feedback a --profile run\n"
-               "                     wrote (see docs/PROFILING.md)\n"
+               "                     apply the per-site feedback a --profile\n"
+               "                     run wrote (see docs/PROFILING.md)\n"
                "  --list             print suite benchmark names and exit\n"
                "%s",
                ObsCli::usage());

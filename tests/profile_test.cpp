@@ -416,10 +416,10 @@ TEST(Feedback, DocumentCarriesEvidenceAndParsesBack) {
 
 // --- scoreboard grading ----------------------------------------------------
 
-profile::SiteProfile site_counts(Mechanism chosen, std::uint64_t local_reads,
-                          std::uint64_t hits, std::uint64_t misses,
-                          std::uint64_t write_throughs,
-                          std::uint64_t migrations) {
+profile::SiteProfile counts(Mechanism chosen, std::uint64_t local_reads,
+                            std::uint64_t hits, std::uint64_t misses,
+                            std::uint64_t write_throughs,
+                            std::uint64_t migrations) {
   profile::SiteProfile s;
   s.mechanism = chosen;
   s.local_reads = local_reads;
@@ -434,27 +434,27 @@ constexpr Mechanism kMig = Mechanism::kMigrate;
 constexpr Mechanism kCache = Mechanism::kCache;
 
 TEST(Scoreboard, MigrateSiteBelowAffinityBarFlipsToCache) {
-  const auto g = profile::grade_site(site_counts(kMig, 50, 0, 0, 0, 50));
+  const auto g = profile::grade_site(counts(kMig, 50, 0, 0, 0, 50));
   EXPECT_FALSE(g.agree);
   EXPECT_EQ(g.recommended, Mechanism::kCache);
 
-  const auto ok = profile::grade_site(site_counts(kMig, 95, 0, 0, 0, 5));
+  const auto ok = profile::grade_site(counts(kMig, 95, 0, 0, 0, 5));
   EXPECT_TRUE(ok.agree);
 }
 
 TEST(Scoreboard, CacheSiteFlipsOnlyOnRemoteTrafficWithPoorReuse) {
-  const auto bad = profile::grade_site(site_counts(kCache, 0, 10, 90, 0, 0));
+  const auto bad = profile::grade_site(counts(kCache, 0, 10, 90, 0, 0));
   EXPECT_FALSE(bad.agree);
   EXPECT_EQ(bad.recommended, Mechanism::kMigrate);
 
-  const auto reuse = profile::grade_site(site_counts(kCache, 0, 90, 10, 0, 0));
+  const auto reuse = profile::grade_site(counts(kCache, 0, 90, 10, 0, 0));
   EXPECT_TRUE(reuse.agree);
 
   // Write-only remote traffic: no reuse signal, never flipped.
-  const auto writes = profile::grade_site(site_counts(kCache, 0, 0, 0, 100, 0));
+  const auto writes = profile::grade_site(counts(kCache, 0, 0, 0, 100, 0));
   EXPECT_TRUE(writes.agree);
 
-  const auto idle = profile::grade_site(site_counts(kCache, 0, 0, 0, 0, 0));
+  const auto idle = profile::grade_site(counts(kCache, 0, 0, 0, 0, 0));
   EXPECT_TRUE(idle.agree);
 }
 
@@ -462,15 +462,15 @@ TEST(Scoreboard, CacheSiteFlipsOnlyOnRemoteTrafficWithPoorReuse) {
 // (graded_mechanism), so no rounding moves a site across a bar.
 TEST(Scoreboard, BarsAreIntegerExact) {
   // Exactly 90% local meets the affinity bar.
-  const auto at_bar = profile::grade_site(site_counts(kMig, 900, 0, 0, 0, 100));
+  const auto at_bar = profile::grade_site(counts(kMig, 900, 0, 0, 0, 100));
   EXPECT_TRUE(at_bar.agree);
   // 899 of 1000 local falls just below it.
-  const auto below = profile::grade_site(site_counts(kMig, 899, 0, 0, 0, 101));
+  const auto below = profile::grade_site(counts(kMig, 899, 0, 0, 0, 101));
   EXPECT_FALSE(below.agree);
   EXPECT_EQ(below.recommended, Mechanism::kCache);
   // Exactly 50% hits meets the hit-rate floor, however remote the site.
-  EXPECT_TRUE(profile::grade_site(site_counts(kCache, 0, 50, 50, 0, 0)).agree);
-  EXPECT_FALSE(profile::grade_site(site_counts(kCache, 0, 49, 51, 0, 0)).agree);
+  EXPECT_TRUE(profile::grade_site(counts(kCache, 0, 50, 50, 0, 0)).agree);
+  EXPECT_FALSE(profile::grade_site(counts(kCache, 0, 49, 51, 0, 0)).agree);
 }
 
 }  // namespace
