@@ -172,13 +172,14 @@ void StreamingRunAnalyzer::extract_critical_path(CriticalPath* path,
   // Topological order: events by (time, id). Parent links point at
   // earlier-emitted (smaller-id) events, so this sorts every edge source
   // before its destination and yields each per-processor chain in order.
+  // `order` starts in id order, so a stable sort by time keeps ties by id;
+  // as a merge sort it also rides the runs a trace emits already in order.
   std::vector<std::uint64_t> order(n);
   std::iota(order.begin(), order.end(), std::uint64_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::uint64_t a, std::uint64_t b) {
-              if (time_[a] != time_[b]) return time_[a] < time_[b];
-              return a < b;
-            });
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint64_t a, std::uint64_t b) {
+                     return time_[a] < time_[b];
+                   });
 
   std::vector<Cycles> cost(n, kInf);
   std::vector<std::uint64_t> pred(n, kFromSource);

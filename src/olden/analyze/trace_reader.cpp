@@ -3,26 +3,12 @@
 #include <cstdio>
 #include <cstring>
 
-#include "olden/trace/observer.hpp"
-
 namespace olden::analyze {
 
 namespace {
 
 bool read_exact(std::FILE* f, void* dst, std::size_t n) {
   return std::fread(dst, 1, n, f) == n;
-}
-
-std::uint32_t decode_u32le(const unsigned char* b) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t decode_u64le(const unsigned char* b) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-  return v;
 }
 
 }  // namespace
@@ -50,7 +36,7 @@ bool TraceStream::open(const std::string& path, std::string* err) {
   file_size_ = static_cast<std::uint64_t>(end);
   if (std::fseek(file_, 0, SEEK_SET) != 0) return fail(err, "seek failed");
 
-  unsigned char magic[8];
+  char magic[8];
   if (file_size_ < 8 || !read_exact(file_, magic, 8)) {
     return fail(err, "trace too short for magic");
   }
@@ -64,11 +50,11 @@ bool TraceStream::open(const std::string& path, std::string* err) {
   if (std::memcmp(magic, trace::kBinaryTraceMagic, 8) != 0) {
     return fail(err, "not an Olden binary trace (bad magic)");
   }
-  unsigned char hdr[8];
+  char hdr[8];
   if (!read_exact(file_, hdr, 8)) return fail(err, "truncated trace header");
   pos_ += 8;
-  const std::uint32_t version = decode_u32le(hdr);
-  num_runs_ = decode_u32le(hdr + 4);
+  const auto version = trace::load_le<std::uint32_t>(hdr);
+  num_runs_ = trace::load_le<std::uint32_t>(hdr + 4);
   if (version != static_cast<std::uint32_t>(trace::kBinaryTraceVersion)) {
     return fail(err, "unsupported binary trace version " +
                          std::to_string(version) + " (expected " +
@@ -120,12 +106,12 @@ bool TraceStream::next_run(TraceRun* run, std::string* err) {
   }
   const std::string rno = std::to_string(runs_delivered_);
 
-  unsigned char lenb[4];
+  char lenb[4];
   if (!read_exact(file_, lenb, 4)) {
     return fail(err, "truncated run header (run " + rno + ")");
   }
   pos_ += 4;
-  const std::uint32_t label_len = decode_u32le(lenb);
+  const auto label_len = trace::load_le<std::uint32_t>(lenb);
   if (label_len > file_size_ - pos_) {
     return fail(err, "run label length " + std::to_string(label_len) +
                          " exceeds file size (run " + rno + ")");
@@ -136,15 +122,15 @@ bool TraceStream::next_run(TraceRun* run, std::string* err) {
   }
   pos_ += label_len;
 
-  unsigned char tail[4 + 8 + 8 + 8];
+  char tail[4 + 8 + 8 + 8];
   if (!read_exact(file_, tail, sizeof tail)) {
     return fail(err, "truncated run header (run " + rno + ")");
   }
   pos_ += sizeof tail;
-  const std::uint32_t nprocs = decode_u32le(tail);
-  run->makespan = decode_u64le(tail + 4);
-  run->events_dropped = decode_u64le(tail + 12);
-  const std::uint64_t nevents = decode_u64le(tail + 20);
+  const auto nprocs = trace::load_le<std::uint32_t>(tail);
+  run->makespan = trace::load_le<std::uint64_t>(tail + 4);
+  run->events_dropped = trace::load_le<std::uint64_t>(tail + 12);
+  const auto nevents = trace::load_le<std::uint64_t>(tail + 20);
   // The simulator never runs more than kMaxProcs processors; a larger
   // value is corruption, and passing it through would size analysis
   // arrays (per-processor chains) from attacker-controlled bytes.
@@ -181,19 +167,10 @@ bool TraceStream::next_events(std::vector<trace::TraceEvent>* batch,
   run_events_left_ -= want;
 
   batch->reserve(static_cast<std::size_t>(want));
-  const auto* p = reinterpret_cast<const unsigned char*>(buf_.data());
+  const char* p = buf_.data();
   for (std::uint64_t i = 0; i < want; ++i, p += trace::kBinaryRecordBytes) {
-    trace::TraceEvent e;
-    e.time = decode_u64le(p);
-    e.proc = decode_u32le(p + 8);
-    e.thread = decode_u64le(p + 12);
-    const std::uint8_t kind = p[20];  // 3 pad bytes follow
-    e.site = decode_u32le(p + 24);
-    e.arg0 = decode_u64le(p + 28);
-    e.arg1 = decode_u64le(p + 36);
-    e.id = decode_u64le(p + 44);
-    e.chain = decode_u64le(p + 52);
-    e.parent = decode_u64le(p + 60);
+    const trace::TraceEvent e = trace::decode_record(p);
+    const auto kind = static_cast<std::uint8_t>(e.kind);
     if (kind >= trace::kNumEventKinds) {
       return fail(err, "event record with out-of-range kind " +
                            std::to_string(kind));
@@ -203,7 +180,6 @@ bool TraceStream::next_events(std::vector<trace::TraceEvent>* batch,
                            " of a " + std::to_string(run_nprocs_) +
                            "-processor run");
     }
-    e.kind = static_cast<trace::EventKind>(kind);
     batch->push_back(e);
   }
   return true;

@@ -238,8 +238,8 @@ bool write_chrome_trace(const Observer& obs, const std::string& path,
 /// written here and one streamed during the runs are byte-identical.
 bool write_binary_trace(const Observer& obs, const std::string& path,
                         std::string* err = nullptr);
-// (The v2 format constants — kBinaryTraceVersion, kBinaryTraceMagic,
-// kBinaryRecordBytes — live in trace.hpp, shared with the streaming sink.)
+// (The v2 format — its constants and the encode_record / decode_record
+// pair — lives in trace.hpp, shared by the streaming sink and the reader.)
 
 /// The structured stats document (schema documented in
 /// docs/OBSERVABILITY.md and validated by tools/check_stats_schema.py).

@@ -1,5 +1,7 @@
 #include "olden/trace/streaming_sink.hpp"
 
+#include <cstring>
+
 namespace olden::trace {
 
 namespace {
@@ -7,30 +9,21 @@ namespace {
 /// Offset of the file-level u32 run count: magic(8) + version(4).
 constexpr long kNumRunsOffset = 8 + 4;
 
-void encode_u32le(char* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-}
-void encode_u64le(char* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
 }  // namespace
 
-StreamingTraceSink::StreamingTraceSink(std::string path,
-                                       std::size_t buffer_bytes)
-    : path_(std::move(path)),
-      // Always leave room for at least one record plus a run header.
-      buffer_bytes_(buffer_bytes < 4096 ? 4096 : buffer_bytes) {
-  buf_.reserve(buffer_bytes_);
+StreamingTraceSink::StreamingTraceSink(std::string path)
+    : path_(std::move(path)) {
+  buf_.reserve(kBufferBytes);
   // "wb+" so the back-patch seeks can rewrite committed header bytes.
   file_ = std::fopen(path_.c_str(), "wb+");
   if (file_ == nullptr) {
     set_error("cannot open " + path_ + " for writing");
     return;
   }
-  buf_.append(kBinaryTraceMagic, sizeof kBinaryTraceMagic);
-  put_u32(static_cast<std::uint32_t>(kBinaryTraceVersion));
-  put_u32(0);  // run count, patched in finalize()
+  char head[kNumRunsOffset + 4] = {};  // the run count patched in finalize()
+  std::memcpy(head, kBinaryTraceMagic, sizeof kBinaryTraceMagic);
+  store_le<std::uint32_t>(head + 8, kBinaryTraceVersion);
+  put(head, sizeof head);
 }
 
 StreamingTraceSink::~StreamingTraceSink() { finalize(); }
@@ -74,13 +67,16 @@ void StreamingTraceSink::begin_run(const std::string& label, ProcId nprocs) {
   run_open_ = true;
   run_events_ = 0;
   ++runs_begun_;
-  put_u32(static_cast<std::uint32_t>(label.size()));
-  buf_ += label;
-  put_u32(nprocs);
-  run_patch_off_ = written_ + buf_.size();
-  put_u64(0);  // makespan, patched in end_run()
-  put_u64(0);  // events_dropped, patched in end_run()
-  put_u64(0);  // event count, patched in end_run()
+  char len[4];
+  store_le<std::uint32_t>(len, static_cast<std::uint32_t>(label.size()));
+  put(len, sizeof len);
+  put(label.data(), label.size());
+  // nprocs, then makespan, events_dropped and the event count, which
+  // end_run() patches.
+  char tail[4 + 8 + 8 + 8] = {};
+  store_le<std::uint32_t>(tail, nprocs);
+  run_patch_off_ = written_ + buf_.size() + 4;
+  put(tail, sizeof tail);
 }
 
 void StreamingTraceSink::end_run(Cycles makespan,
@@ -91,9 +87,9 @@ void StreamingTraceSink::end_run(Cycles makespan,
   }
   run_open_ = false;
   char bytes[24];
-  encode_u64le(bytes, makespan);
-  encode_u64le(bytes + 8, events_dropped);
-  encode_u64le(bytes + 16, run_events_);
+  store_le<std::uint64_t>(bytes, makespan);
+  store_le<std::uint64_t>(bytes + 8, events_dropped);
+  store_le<std::uint64_t>(bytes + 16, run_events_);
   patch(static_cast<long>(run_patch_off_), bytes, sizeof bytes);
 }
 
@@ -102,7 +98,7 @@ bool StreamingTraceSink::finalize(std::string* err) {
     finalized_ = true;
     if (run_open_) set_error("finalize with a run still open");
     char bytes[4];
-    encode_u32le(bytes, runs_begun_);
+    store_le<std::uint32_t>(bytes, runs_begun_);
     patch(kNumRunsOffset, bytes, sizeof bytes);
     if (file_ != nullptr) {
       if (std::fflush(file_) != 0) set_error("flush failed for " + path_);

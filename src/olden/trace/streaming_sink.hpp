@@ -5,7 +5,9 @@
 // TreeAdd at p=8 emits millions of events; the full paper suite would need
 // gigabytes of RAM), so a bench binary's --trace-bin installs a sink and
 // retains nothing. The sink writes the byte stream incrementally: events
-// go through a large private buffer as they are emitted, and the fields a
+// go through a large private buffer as they are emitted, each as one
+// record by encode_record (the record layout lives in trace.hpp, beside
+// kBinaryRecordBytes and the reader's decode_record), and the fields a
 // writer cannot know up front — the file-level run count and each run's
 // makespan / dropped-event / event counts — are back-patched with fseek
 // when the run (or file) closes. write_binary_trace() replays retained
@@ -31,6 +33,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "olden/support/types.hpp"
 #include "olden/trace/trace.hpp"
@@ -39,24 +42,21 @@ namespace olden::trace {
 
 class StreamingTraceSink {
  public:
-  /// Default write-buffer size: big enough that paper-scale runs hit the
+  /// Write-buffer size: big enough that paper-scale runs hit the
   /// filesystem in ~4 MiB sequential chunks, small enough to be invisible
   /// next to the simulator's own footprint.
-  static constexpr std::size_t kDefaultBufferBytes = std::size_t{4} << 20;
+  static constexpr std::size_t kBufferBytes = std::size_t{4} << 20;
 
-  explicit StreamingTraceSink(std::string path,
-                              std::size_t buffer_bytes = kDefaultBufferBytes);
+  explicit StreamingTraceSink(std::string path);
   ~StreamingTraceSink();
   StreamingTraceSink(const StreamingTraceSink&) = delete;
   StreamingTraceSink& operator=(const StreamingTraceSink&) = delete;
 
   [[nodiscard]] bool ok() const { return err_.empty(); }
   [[nodiscard]] const std::string& error() const { return err_; }
-  [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] std::uint64_t events_written() const {
     return events_written_;
   }
-  [[nodiscard]] std::uint32_t runs_written() const { return runs_begun_; }
 
   /// Open one run: writes the label header with zero placeholders for
   /// makespan / dropped / event count.
@@ -69,18 +69,10 @@ class StreamingTraceSink {
       if (err_.empty()) set_error("event emitted outside a run");
       return;
     }
-    if (buf_.size() + kBinaryRecordBytes > buffer_bytes_) flush();
-    put_u64(e.time);
-    put_u32(e.proc);
-    put_u64(e.thread);
-    buf_ += static_cast<char>(e.kind);
-    buf_.append(3, '\0');
-    put_u32(e.site);
-    put_u64(e.arg0);
-    put_u64(e.arg1);
-    put_u64(e.id);
-    put_u64(e.chain);
-    put_u64(e.parent);
+    if (buf_.size() + kBinaryRecordBytes > kBufferBytes) flush();
+    const std::size_t at = buf_.size();
+    buf_.resize(at + kBinaryRecordBytes);
+    encode_record(e, buf_.data() + at);
     ++run_events_;
     ++events_written_;
   }
@@ -95,15 +87,10 @@ class StreamingTraceSink {
   bool finalize(std::string* err = nullptr);
 
  private:
-  void put_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buf_ += static_cast<char>((v >> (8 * i)) & 0xff);
-    }
-  }
-  void put_u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      buf_ += static_cast<char>((v >> (8 * i)) & 0xff);
-    }
+  /// Append header bytes (a label longer than the buffer grows it).
+  void put(const char* bytes, std::size_t n) {
+    if (buf_.size() + n > kBufferBytes) flush();
+    buf_.insert(buf_.end(), bytes, bytes + n);
   }
   void flush();
   void set_error(std::string what);
@@ -111,9 +98,8 @@ class StreamingTraceSink {
   void patch(long off, const char* bytes, std::size_t n);
 
   std::string path_;
-  std::size_t buffer_bytes_;
   std::FILE* file_ = nullptr;
-  std::string buf_;
+  std::vector<char> buf_;
   std::string err_;
   /// Bytes already fwritten; logical position = written_ + buf_.size().
   std::uint64_t written_ = 0;

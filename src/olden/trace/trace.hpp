@@ -11,6 +11,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "olden/support/types.hpp"
@@ -215,10 +216,56 @@ inline constexpr char kBinaryTraceMagic[8] = {'O', 'L', 'D', 'N',
 /// The v1 magic, kept so readers can name the version they refuse.
 inline constexpr char kBinaryTraceMagicV1[8] = {'O', 'L', 'D', 'N',
                                                 'T', 'R', 'C', '1'};
-/// Size of one packed binary record (time, proc, thread, kind, site, args,
-/// id, chain, parent).
+/// Size of one packed binary record, laid out by encode_record below.
 inline constexpr std::size_t kBinaryRecordBytes =
     8 + 4 + 8 + 1 + 3 + 4 + 8 + 8 + 8 + 8 + 8;
+
+static_assert(std::endian::native == std::endian::little,
+              "v2 fields are little-endian and copied in host byte order");
+
+/// One fixed-width v2 field: a little-endian T at `out` / `in`.
+template <class T>
+void store_le(char* out, T v) { std::memcpy(out, &v, sizeof v); }
+template <class T>
+[[nodiscard]] T load_le(const char* in) {
+  T v{};
+  std::memcpy(&v, in, sizeof v);
+  return v;
+}
+
+/// Write `e` as one packed record of kBinaryRecordBytes at `out`: time
+/// u64, proc u32, thread u64, kind u8 and three zero pad bytes, site u32,
+/// then arg0, arg1, id, chain and parent as u64.
+inline void encode_record(const TraceEvent& e, char* out) {
+  store_le<std::uint64_t>(out, e.time);
+  store_le<std::uint32_t>(out + 8, e.proc);
+  store_le<std::uint64_t>(out + 12, e.thread);
+  store_le<std::uint32_t>(out + 20, static_cast<std::uint8_t>(e.kind));
+  store_le<std::uint32_t>(out + 24, e.site);
+  store_le<std::uint64_t>(out + 28, e.arg0);
+  store_le<std::uint64_t>(out + 36, e.arg1);
+  store_le<std::uint64_t>(out + 44, e.id);
+  store_le<std::uint64_t>(out + 52, e.chain);
+  store_le<std::uint64_t>(out + 60, e.parent);
+}
+
+/// The record encode_record wrote at `in`. The kind byte is taken as it
+/// stands (the pad bytes are ignored): a reader rejects kinds at or past
+/// kNumEventKinds.
+[[nodiscard]] inline TraceEvent decode_record(const char* in) {
+  TraceEvent e;
+  e.time = load_le<std::uint64_t>(in);
+  e.proc = load_le<std::uint32_t>(in + 8);
+  e.thread = load_le<std::uint64_t>(in + 12);
+  e.kind = static_cast<EventKind>(load_le<std::uint8_t>(in + 20));
+  e.site = load_le<std::uint32_t>(in + 24);
+  e.arg0 = load_le<std::uint64_t>(in + 28);
+  e.arg1 = load_le<std::uint64_t>(in + 36);
+  e.id = load_le<std::uint64_t>(in + 44);
+  e.chain = load_le<std::uint64_t>(in + 52);
+  e.parent = load_le<std::uint64_t>(in + 60);
+  return e;
+}
 
 [[nodiscard]] constexpr const char* to_string(Hist h) {
   switch (h) {

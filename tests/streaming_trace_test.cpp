@@ -127,6 +127,76 @@ TEST(StreamingSink, MultiRunFileWithCrossRunTruncationMatches) {
   EXPECT_TRUE(mem.trace_bytes == str.trace_bytes);
 }
 
+/// Every field of a record, at 0, at its all-ones maximum (the kNo*
+/// sentinels) and at a value of its own, under every kind, comes back from
+/// TraceStream as the sink was given it. The first run's label outgrows the
+/// sink's buffer, so its records land on buffer bytes that held the label;
+/// their pad bytes must still read zero.
+TEST(StreamingSink, RecordRoundTripsEveryField) {
+  const auto fields = [](const trace::TraceEvent& e) {
+    return std::tuple(e.time, e.proc, e.thread, static_cast<int>(e.kind),
+                      e.site, e.arg0, e.arg1, e.id, e.chain, e.parent);
+  };
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  std::vector<trace::TraceEvent> events;
+  for (std::size_t k = 0; k < trace::kNumEventKinds; ++k) {
+    const auto kind = static_cast<trace::EventKind>(k);
+    events.push_back({0, 0, 0, kind, 0, 0, 0, 0, 0, 0});
+    events.push_back({kMax, kMaxProcs - 1, trace::kNoThread, kind,
+                      trace::kNoSite, kMax, kMax, trace::kNoEvent,
+                      trace::kNoChain, trace::kNoEvent});
+    events.push_back({0x0102030405060708, 9, 0x1112131415161718, kind,
+                      0x21222324, 0x3132333435363738, 0x4142434445464748,
+                      0x5152535455565758, 0x6162636465666768,
+                      0x7172737475767778});
+  }
+  const std::string long_label(trace::StreamingTraceSink::kBufferBytes + 100,
+                               'x');
+  const std::string path = temp_path("fields.bin");
+  {
+    trace::StreamingTraceSink sink(path);
+    for (const std::string& label : {long_label, std::string("short")}) {
+      sink.begin_run(label, kMaxProcs);
+      for (const trace::TraceEvent& e : events) sink.append(e);
+      sink.end_run(kMax, 7);
+    }
+    std::string err;
+    ASSERT_TRUE(sink.finalize(&err)) << err;
+  }
+
+  const std::string bytes = read_file(path);
+  const std::size_t first_record = 16 + 4 + long_label.size() + 28;
+  ASSERT_GE(bytes.size(),
+            first_record + events.size() * trace::kBinaryRecordBytes);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const std::size_t kind_at =
+        first_record + i * trace::kBinaryRecordBytes + 20;
+    EXPECT_EQ(bytes.substr(kind_at + 1, 3), std::string(3, '\0'))
+        << "pad bytes of record " << i;
+  }
+
+  std::string err;
+  analyze::TraceStream ts;
+  ASSERT_TRUE(ts.open(path, &err)) << err;
+  analyze::TraceRun run;
+  std::vector<trace::TraceEvent> batch;
+  for (const std::string& label : {long_label, std::string("short")}) {
+    ASSERT_TRUE(ts.next_run(&run, &err)) << err;
+    EXPECT_TRUE(run.label == label) << "label of " << label.size() << " bytes";
+    EXPECT_EQ(run.nprocs, kMaxProcs);
+    EXPECT_EQ(run.makespan, kMax);
+    EXPECT_EQ(run.events_dropped, 7u);
+    ASSERT_EQ(run.num_events, events.size());
+    ASSERT_TRUE(ts.next_events(&batch, events.size(), &err)) << err;
+    ASSERT_EQ(batch.size(), events.size());
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      EXPECT_EQ(fields(batch[i]), fields(events[i])) << "record " << i;
+    }
+  }
+  EXPECT_FALSE(ts.next_run(&run, &err));
+  EXPECT_EQ(err, "");
+}
+
 /// The bench_cell --jobs merge: workers record into private observers
 /// with the full retention limit, the main observer re-applies the
 /// cross-run budget at adopt time. Byte equality with the serial record
@@ -239,10 +309,7 @@ std::string small_trace_bytes() {
 /// num_runs(4), then per run label_len(4) + label + nprocs(4) +
 /// makespan(8) + dropped(8) + nevents(8) + 68-byte records.
 std::uint32_t first_label_len(const std::string& bytes) {
-  return static_cast<std::uint8_t>(bytes[16]) |
-         static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[17])) << 8 |
-         static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[18])) << 16 |
-         static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[19])) << 24;
+  return trace::load_le<std::uint32_t>(bytes.data() + 16);
 }
 
 /// Each corruption is reported by the first TraceStream call that can see

@@ -19,8 +19,9 @@ deltas, and each partition's top rows plus "other" rollup, must sum
 exactly to makespan_delta_cycles.
 
 Exit codes: 0 all documents valid, 1 schema or invariant violation,
-2 usage error or unknown schema version (a reader that only speaks
-version N must not guess at version N+1).
+2 usage error (no document, or any other argument starting with `--`)
+or unknown schema version (a reader that only speaks version N must not
+guess at version N+1).
 
 Stdlib only, so it can run in any CI image.
 """
@@ -363,7 +364,9 @@ def main(argv):
     if args and args[0] == "--diff":
         mode = "diff"
         args = args[1:]
-    if not args:
+    # A flag anywhere else (a removed mode, a misspelt one) is a usage
+    # error, not a document path.
+    if not args or any(a.startswith("--") for a in args):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     for path in args:

@@ -9,7 +9,8 @@ invariants. This test makes them meet on every tier-1 run: bench_cell
 writes a stats document for TreeAdd and EM3D at tiny size under the three
 coherence schemes on a lossy coherence wire, and the checker must accept it (exit
 0), refuse the same document relabelled as an older version (exit 2),
-and reject it with one breakdown bucket changed (exit 1).
+and reject it with one breakdown bucket changed (exit 1). A flag the
+checker does not have, removed or misspelt, is a usage error (exit 2).
 
 Stdlib only; registered with ctest from tools/CMakeLists.txt.
 """
@@ -49,8 +50,8 @@ class CheckStatsSchemaTest(unittest.TestCase):
     def tearDownClass(cls):
         cls.tmp.cleanup()
 
-    def check(self, path):
-        return subprocess.run([sys.executable, CHECKER, path],
+    def check(self, *args):
+        return subprocess.run([sys.executable, CHECKER, *args],
                               capture_output=True, text=True)
 
     def write_copy(self, name, doc):
@@ -77,6 +78,17 @@ class CheckStatsSchemaTest(unittest.TestCase):
         proc = self.check(self.write_copy("bucket.json", doc))
         self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
         self.assertIn("buckets sum to", proc.stderr)
+
+    def test_removed_mode_is_a_usage_error(self):
+        proc = self.check("--profile", self.stats)
+        self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+        self.assertIn("Usage:", proc.stderr)
+
+    def test_misspelt_flag_is_a_usage_error(self):
+        for args in (["--dif", self.stats], [self.stats, "--diff"]):
+            proc = self.check(*args)
+            self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+            self.assertIn("Usage:", proc.stderr)
 
 
 if __name__ == "__main__":
