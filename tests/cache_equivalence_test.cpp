@@ -44,7 +44,7 @@ struct AnalysisDigests {
   std::uint64_t human = 0;
 };
 
-AnalysisDigests analysis_digests(const trace::Observer& obs) {
+AnalysisDigests analysis_digests(test::StreamedObserver& obs) {
   analyze::TraceFile file;
   std::vector<analyze::RunReport> reports;
   test::analyze_observer(obs, 10, &file, &reports);
@@ -67,8 +67,7 @@ struct Golden {
 Golden run_with_tuning(const Benchmark& b, Coherence scheme,
                        SoftwareCache::Tuning tuning) {
   TuningGuard guard(tuning);
-  trace::Observer obs;
-  obs.set_trace_enabled(true);
+  test::StreamedObserver obs;
   obs.begin_run(b.name() + "/equiv");
   BenchConfig cfg{.nprocs = 8, .scheme = scheme};
   cfg.tiny = true;

@@ -100,8 +100,7 @@ TEST_P(FaultSoak, ChecksumsAndTracesAreStableAcrossSeeds) {
     const std::uint64_t seed = kFaultSeeds[i];
     std::string bytes[2];
     for (int rerun = 0; rerun < 2; ++rerun) {
-      trace::Observer obs;
-      obs.set_trace_enabled(true);
+      test::StreamedObserver obs;
       obs.begin_run("soak");
       BenchConfig cfg = clean_cfg;
       cfg.observer = &obs;

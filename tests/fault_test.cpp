@@ -183,8 +183,7 @@ TEST(FaultPlane, SameSeedReproducesByteIdenticalTraces) {
   const FaultSpec spec = moderate_spec();
   std::string bytes[2];
   for (int i = 0; i < 2; ++i) {
-    trace::Observer obs;
-    obs.set_trace_enabled(true);
+    test::StreamedObserver obs;
     obs.begin_run("fault-repeat");
     bench::BenchConfig cfg{.nprocs = 4};
     cfg.tiny = true;
@@ -276,8 +275,7 @@ TEST_P(ZeroFaults, ByteIdenticalToNoPlane) {
   for (const ProcId nprocs : {ProcId{8}, ProcId{5}}) {
     std::string traces[3], stats[3], profiles[3];
     for (int i = 0; i < 3; ++i) {
-      trace::Observer obs;
-      obs.set_trace_enabled(true);
+      test::StreamedObserver obs;
       obs.enable_profile();
       obs.begin_run("zero-ab", {{"benchmark", name}});
       bench::BenchConfig cfg{.nprocs = nprocs, .scheme = scheme.scheme};

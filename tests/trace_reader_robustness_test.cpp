@@ -24,8 +24,7 @@ namespace {
 std::string valid_trace_bytes() {
   const bench::Benchmark* b = bench::find_benchmark("TreeAdd");
   EXPECT_NE(b, nullptr);
-  trace::Observer obs;
-  obs.set_trace_enabled(true);
+  test::StreamedObserver obs;
   obs.set_event_limit(64);
   obs.begin_run("adv");
   bench::BenchConfig cfg{.nprocs = 2};
