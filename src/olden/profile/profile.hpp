@@ -53,8 +53,8 @@ struct SiteProfile {
 };
 
 /// Everything the profiling plane records about one Machine run. Lives
-/// inside trace::RunRecord so Observer::adopt_run merges worker profiles
-/// byte-identically to a serial run.
+/// inside trace::RunRecord so Observer::adopt_runs_from merges worker
+/// profiles byte-identically to a serial run.
 struct RunProfile {
   std::map<SiteId, SiteProfile> sites;
 

@@ -1,12 +1,10 @@
-// Exporters for the observability layer: Chrome trace_event JSON
-// (Perfetto / chrome://tracing), the structured stats JSON document, and
-// the human-readable per-processor cycle-breakdown table. (The binary
-// event log is written by StreamingTraceSink; see write_binary_trace.)
+// Exporters for the observability layer: the structured stats JSON
+// document and the human-readable per-processor cycle-breakdown table.
+// (The binary event log is written by StreamingTraceSink as events fire;
+// olden-analyze --chrome-out renders it as Chrome trace_event JSON.)
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <unordered_map>
 
 #include "olden/support/io.hpp"
 #include "olden/trace/observer.hpp"
@@ -14,39 +12,6 @@
 namespace olden::trace {
 
 namespace {
-
-/// Instant-event scope is per-thread so each event lands on its
-/// processor's track.
-void append_instant(std::string& out, std::size_t pid, const TraceEvent& e) {
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":%zu,"
-                "\"tid\":%u,\"ts\":%" PRIu64 ",\"args\":{",
-                to_string(e.kind), pid, e.proc, e.time);
-  out += buf;
-  if (e.thread != kNoThread) append_kv(out, "thread", e.thread);
-  if (e.site != kNoSite) append_kv(out, "site", e.site);
-  if (e.chain != kNoChain) append_kv(out, "chain", e.chain);
-  append_kv(out, "arg0", e.arg0);
-  append_kv(out, "arg1", e.arg1, /*comma=*/false);
-  out += "}},\n";
-}
-
-/// Migration / return-stub arrivals carry their transit latency in arg1;
-/// render them as duration ("X") slices on the destination track so
-/// Perfetto shows communication as filled spans.
-void append_transit(std::string& out, std::size_t pid, const TraceEvent& e,
-                    const char* name) {
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":%zu,\"tid\":%u,"
-                "\"ts\":%" PRIu64 ",\"dur\":%" PRIu64 ",\"args\":{",
-                name, pid, e.proc, e.time - e.arg1, e.arg1);
-  out += buf;
-  if (e.thread != kNoThread) append_kv(out, "thread", e.thread);
-  append_kv(out, "from_proc", e.arg0, /*comma=*/false);
-  out += "}},\n";
-}
 
 void append_histogram(std::string& out, const Histogram& h) {
   out += "{";
@@ -72,103 +37,7 @@ void append_histogram(std::string& out, const Histogram& h) {
   out += "]}";
 }
 
-/// Name a causal flow arrow after what the child event represents.
-const char* flow_name(EventKind child) {
-  switch (child) {
-    case EventKind::kMigrationArrive: return "migration";
-    case EventKind::kReturnStubArrive: return "return_stub";
-    case EventKind::kFutureSteal: return "future_steal";
-    default: return "causal";
-  }
-}
-
-/// One Perfetto flow arrow: "s" (start) at the parent event, "f" with
-/// bp:"e" (finish, bind to enclosing) at the child. Perfetto matches the
-/// two halves on (cat, id).
-void append_flow(std::string& out, std::size_t pid, const TraceEvent& parent,
-                 const TraceEvent& child, std::uint64_t flow_id) {
-  const char* name = flow_name(child.kind);
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "{\"name\":\"%s\",\"cat\":\"causal\",\"ph\":\"s\","
-                "\"id\":%" PRIu64 ",\"pid\":%zu,\"tid\":%u,\"ts\":%" PRIu64
-                "},\n",
-                name, flow_id, pid, parent.proc, parent.time);
-  out += buf;
-  std::snprintf(buf, sizeof buf,
-                "{\"name\":\"%s\",\"cat\":\"causal\",\"ph\":\"f\",\"bp\":\"e\","
-                "\"id\":%" PRIu64 ",\"pid\":%zu,\"tid\":%u,\"ts\":%" PRIu64
-                "},\n",
-                name, flow_id, pid, child.proc, child.time);
-  out += buf;
-}
-
 }  // namespace
-
-std::string chrome_trace_json(const Observer& obs) {
-  std::string out;
-  out.reserve(1 << 16);
-  out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  for (std::size_t pid = 0; pid < obs.runs().size(); ++pid) {
-    const RunRecord& run = obs.runs()[pid];
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%zu,"
-                  "\"args\":{\"name\":\"",
-                  pid);
-    out += buf;
-    append_escaped(out, run.label);
-    out += "\"}},\n";
-    std::snprintf(buf, sizeof buf,
-                  "{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":%zu,"
-                  "\"args\":{\"sort_index\":%zu}},\n",
-                  pid, pid);
-    out += buf;
-    for (ProcId p = 0; p < run.nprocs; ++p) {
-      std::snprintf(buf, sizeof buf,
-                    "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%zu,"
-                    "\"tid\":%u,\"args\":{\"name\":\"proc %u\"}},\n",
-                    pid, p, p);
-      out += buf;
-    }
-    // Index retained events by id so causal parents can be located; a
-    // parent that was dropped at the trace limit simply gets no arrow.
-    std::unordered_map<std::uint64_t, const TraceEvent*> by_id;
-    by_id.reserve(run.events.size());
-    for (const TraceEvent& e : run.events) by_id.emplace(e.id, &e);
-    for (const TraceEvent& e : run.events) {
-      switch (e.kind) {
-        case EventKind::kMigrationArrive:
-          append_transit(out, pid, e, "migration");
-          break;
-        case EventKind::kReturnStubArrive:
-          append_transit(out, pid, e, "return_stub");
-          break;
-        default:
-          append_instant(out, pid, e);
-      }
-      if (e.parent == kNoEvent) continue;
-      const auto it = by_id.find(e.parent);
-      // Draw arrows only for cross-processor causality: same-track links
-      // are already visible as event order, and Perfetto renders them as
-      // clutter.
-      if (it == by_id.end() || it->second->proc == e.proc) continue;
-      const std::uint64_t flow_id =
-          (static_cast<std::uint64_t>(pid) << 40) | e.id;
-      append_flow(out, pid, *it->second, e, flow_id);
-    }
-  }
-  // Closing sentinel avoids trailing-comma bookkeeping and marks the
-  // export as complete.
-  out += "{\"name\":\"olden_trace_end\",\"ph\":\"M\",\"pid\":0,\"args\":{}}\n";
-  out += "]}\n";
-  return out;
-}
-
-bool write_chrome_trace(const Observer& obs, const std::string& path,
-                        std::string* err) {
-  return write_file(path, chrome_trace_json(obs), err);
-}
 
 std::string stats_json(const Observer& obs) {
   std::string out;
@@ -265,7 +134,7 @@ std::string stats_json(const Observer& obs) {
                 run.event_counts[k], /*comma=*/false);
     }
     out += "},";
-    append_kv(out, "retained", run.events.size() + run.events_streamed);
+    append_kv(out, "retained", run.events_streamed);
     append_kv(out, "dropped", run.events_dropped, /*comma=*/false);
     out += "}}";
   }

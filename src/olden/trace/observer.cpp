@@ -3,20 +3,9 @@
 #include <utility>
 
 #include "olden/runtime/machine.hpp"
+#include "olden/support/require.hpp"
 
 namespace olden::trace {
-
-namespace {
-
-/// Replay one retained run into `sink`, the one encoder of the binary
-/// trace format.
-void replay_run(const RunRecord& r, StreamingTraceSink* sink) {
-  sink->begin_run(r.label, r.nprocs);
-  for (const TraceEvent& e : r.events) sink->append(e);
-  sink->end_run(r.makespan, r.events_dropped);
-}
-
-}  // namespace
 
 void Observer::begin_run(std::string label,
                          std::map<std::string, std::string> meta) {
@@ -26,12 +15,15 @@ void Observer::begin_run(std::string label,
 }
 
 void Observer::attach(const RunConfig& cfg) {
+  OLDEN_REQUIRE(!trace_enabled_ || sink_ != nullptr,
+                "trace::Observer: tracing is on but no sink is installed "
+                "(set_sink before the first run)");
   if (run_open_) {
     // The previous Machine threw before finish() (a fault-plane watchdog
     // trip, say). Drop its partial record, as a host-parallel worker's is
     // dropped, so that this run inherits none of its counts; keep the
     // label and metadata begin_run set for this run.
-    events_retained_ -= cur_.events.size() + cur_.events_streamed;
+    events_retained_ -= cur_.events_streamed;
     RunRecord next;
     next.label = std::move(cur_.label);
     next.meta = std::move(cur_.meta);
@@ -49,7 +41,7 @@ void Observer::attach(const RunConfig& cfg) {
   next_chain_id_ = 0;
   run_open_ = true;
   // The sink mirrors runs_ exactly: every run gets a header even when
-  // event collection is off (write_binary_trace also emits empty runs).
+  // event collection is off.
   if (sink_ != nullptr) sink_->begin_run(cur_.label, cur_.nprocs);
 }
 
@@ -136,38 +128,23 @@ void Observer::finish(const Machine& m) {
   cur_ = RunRecord{};
 }
 
-void Observer::adopt_run(RunRecord&& r) {
-  // Re-apply the cross-run retention limit. A serial observer would have
-  // entered this run with `budget` slots left and kept the first `budget`
-  // events; the donor (which started from a full limit) necessarily kept a
-  // superset prefix, so truncation reconstructs the serial record exactly.
-  const std::uint64_t budget =
-      event_limit_ > events_retained_ ? event_limit_ - events_retained_ : 0;
-  if (r.events.size() > budget) {
-    r.events_dropped += r.events.size() - budget;
-    r.events.resize(static_cast<std::size_t>(budget));
+void Observer::adopt_runs_from(Observer& donor, const CopyEvents& copy) {
+  for (RunRecord& r : donor.runs_) {
+    const std::uint64_t budget =
+        event_limit_ > events_retained_ ? event_limit_ - events_retained_ : 0;
+    if (r.events_streamed > budget) {
+      r.events_dropped += r.events_streamed - budget;
+      r.events_streamed = budget;
+    }
+    events_retained_ += r.events_streamed;
+    if (sink_ != nullptr) {
+      sink_->begin_run(r.label, r.nprocs);
+      copy(*sink_, r.events_streamed);
+      sink_->end_run(r.makespan, r.events_dropped);
+    }
+    runs_.push_back(std::move(r));
   }
-  events_retained_ += r.events.size();
-  if (sink_ != nullptr) {
-    replay_run(r, sink_);
-    r.events_streamed = r.events.size();
-    r.events.clear();
-    r.events.shrink_to_fit();
-  }
-  runs_.push_back(std::move(r));
-}
-
-void Observer::adopt_runs_from(Observer& donor) {
-  for (RunRecord& r : donor.runs_) adopt_run(std::move(r));
   donor.runs_.clear();
-  donor.events_retained_ = 0;
-}
-
-bool write_binary_trace(const Observer& obs, const std::string& path,
-                        std::string* err) {
-  StreamingTraceSink sink(path);
-  for (const RunRecord& run : obs.runs()) replay_run(run, &sink);
-  return sink.finalize(err);
 }
 
 }  // namespace olden::trace

@@ -1,20 +1,15 @@
 // StreamingTraceSink — the one encoder of the v2 ("OLDNTRC2") binary
-// trace format, and the disk-backed twin of Observer::events.
+// trace format, and the only place an Observer's events go.
 //
-// The in-memory event vector cannot hold a paper-scale run (a 256K-node
-// TreeAdd at p=8 emits millions of events; the full paper suite would need
-// gigabytes of RAM), so a bench binary's --trace-bin installs a sink and
-// retains nothing. The sink writes the byte stream incrementally: events
-// go through a large private buffer as they are emitted, each as one
-// record by encode_record (the record layout lives in trace.hpp, beside
+// No run's events are held in memory (a 256K-node TreeAdd at p=8 emits
+// millions of events; the full paper suite would need gigabytes of RAM),
+// so the sink writes the byte stream incrementally: events go through a
+// large private buffer as they are emitted, each as one record by
+// encode_record (the record layout lives in trace.hpp, beside
 // kBinaryRecordBytes and the reader's decode_record), and the fields a
 // writer cannot know up front — the file-level run count and each run's
 // makespan / dropped-event / event counts — are back-patched with fseek
-// when the run (or file) closes. write_binary_trace() replays retained
-// runs through a sink too (--trace-bin does that when --trace keeps the
-// events for the Chrome export), so a file streamed during the runs and
-// one written after them are identical byte for byte
-// (tests/streaming_trace_test.cpp proves it).
+// when the run (or file) closes.
 //
 // Lifecycle (driven by trace::Observer once installed via set_sink()):
 //
@@ -25,9 +20,9 @@
 //
 // Errors are sticky: the first I/O failure is recorded, every later call
 // becomes a no-op, and finalize() reports it. The sink is single-threaded
-// by design — in host-parallel mode (bench_cell --jobs) worker cells
-// retain events in their private Observers and the main thread replays
-// them into the sink in deterministic serial order (adopt_runs_from).
+// by design — in host-parallel mode (bench_cell --jobs) each worker cell
+// streams into a sink and file of its own, and the main thread copies
+// those files into the real sink in serial cell order (bench::adopt_cell).
 #pragma once
 
 #include <cstdint>
@@ -52,6 +47,7 @@ class StreamingTraceSink {
   StreamingTraceSink(const StreamingTraceSink&) = delete;
   StreamingTraceSink& operator=(const StreamingTraceSink&) = delete;
 
+  [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] bool ok() const { return err_.empty(); }
   [[nodiscard]] const std::string& error() const { return err_; }
   [[nodiscard]] std::uint64_t events_written() const {

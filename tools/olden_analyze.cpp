@@ -1,6 +1,7 @@
 // olden-analyze: offline trace analysis for Olden binary traces (v2).
 //
 //   olden-analyze --trace-bin FILE [--json] [--json-out FILE] [--top N]
+//                 [--chrome-out FILE]
 //
 // Reads the binary trace a bench binary's --trace-bin flag streamed to
 // disk and reports, per run: the critical path (total
@@ -10,6 +11,8 @@
 // (invalidate-then-refill) detection. Analysis streams the trace in
 // bounded memory (see streaming.hpp): only ~18 packed bytes per event
 // (peaking at ~43 during critical-path extraction) are retained.
+// --chrome-out also renders the trace as Chrome trace_event JSON for
+// Perfetto, in one more streaming pass (16 bytes kept per event).
 //
 //   olden-analyze --diff A B [--run LABEL | --run-a LA --run-b LB]
 //                 [--json] [--json-out FILE] [--top N]
@@ -34,7 +37,6 @@
 #include "olden/analyze/report.hpp"
 #include "olden/analyze/streaming.hpp"
 #include "olden/support/io.hpp"
-#include "olden/trace/observer.hpp"
 
 namespace {
 
@@ -49,6 +51,9 @@ void usage(std::FILE* to) {
                "  --run-b LABEL      may then be the same file)\n"
                "  --json             print the JSON report to stdout\n"
                "  --json-out FILE    also write the JSON report to FILE\n"
+               "  --chrome-out FILE  also render the trace as Chrome "
+               "trace_event\n"
+               "                     JSON (Perfetto / chrome://tracing)\n"
                "  --top N            keep the N hottest sites/pages/edges "
                "(default 10)\n"
                "  --version          print schema versions and exit\n"
@@ -182,6 +187,7 @@ int main(int argc, char** argv) {
   std::string run_b;
   bool diff_mode = false;
   std::string json_out;
+  std::string chrome_out;
   bool json_stdout = false;
   std::size_t top_n = 10;
 
@@ -210,6 +216,8 @@ int main(int argc, char** argv) {
       json_stdout = true;
     } else if (std::strcmp(a, "--json-out") == 0) {
       json_out = value("--json-out");
+    } else if (std::strcmp(a, "--chrome-out") == 0) {
+      chrome_out = value("--chrome-out");
     } else if (std::strcmp(a, "--top") == 0) {
       const char* v = value("--top");
       std::uint64_t n = 0;
@@ -239,9 +247,10 @@ int main(int argc, char** argv) {
     }
   }
   if (diff_mode) {
-    if (!trace_path.empty()) {
+    if (!trace_path.empty() || !chrome_out.empty()) {
       std::fprintf(stderr,
-                   "olden-analyze: --trace-bin and --diff are exclusive\n");
+                   "olden-analyze: --diff excludes --trace-bin and "
+                   "--chrome-out\n");
       return 2;
     }
     if (run_a.empty() != run_b.empty()) {
@@ -273,6 +282,11 @@ int main(int argc, char** argv) {
   olden::analyze::TraceFile file;
   std::vector<olden::analyze::RunReport> reports;
   std::string err;
+  if (!chrome_out.empty() &&
+      !olden::analyze::render_chrome_trace(trace_path, chrome_out, &err)) {
+    std::fprintf(stderr, "olden-analyze: %s\n", err.c_str());
+    return 1;
+  }
   if (!analyze_file(trace_path, top_n, &file, &reports, nullptr, &err)) {
     std::fprintf(stderr, "olden-analyze: %s\n", err.c_str());
     return 1;
