@@ -15,7 +15,7 @@
 
 #include "olden/bench/benchmark.hpp"
 #include "olden/bench/obs_cli.hpp"
-#include "olden/fault/fault_plane.hpp"
+#include "olden/bench/runner.hpp"
 #include "olden/olden.hpp"
 #include "olden/support/rng.hpp"
 
@@ -90,7 +90,7 @@ double find_breakeven(ProcId procs, Cycles migration_cost,
 
 }  // namespace
 
-int main(int argc, char** argv) try {
+int main(int argc, char** argv) {
   // The break-even search below runs hundreds of probe machines; only the
   // Voronoi ablation runs are observed/labeled.
   olden::bench::ObsCli obs;
@@ -120,36 +120,24 @@ int main(int argc, char** argv) try {
   std::printf(
       "\nVoronoi mechanism ablation at 32 processors (§5: the heuristic "
       "pins the merge and caches; migrate-only thrashes):\n");
+  using olden::bench::Role;
   const auto* v = olden::bench::find_benchmark("Voronoi");
-  olden::bench::BenchConfig base;
-  base.nprocs = 1;
-  base.sequential_baseline = true;
-  const double seq = v->run(base).kernel_seconds();
-  for (bool migrate_only : {false, true}) {
-    olden::bench::BenchConfig cfg;
-    cfg.nprocs = 32;
-    cfg.migrate_only = migrate_only;
-    cfg.observer = obs.observer();
-    cfg.faults = obs.faults();
-    cfg.fault_seed = obs.fault_seed();
-    // Only the heuristic's run names its benchmark, so --profile grades
-    // Voronoi's sites over the plan alone.
-    if (migrate_only) {
-      obs.begin_run("Voronoi/p=32/migrate-only");
-    } else {
-      obs.begin_run("Voronoi/p=32/heuristic", {{"benchmark", "Voronoi"}});
-    }
-    const auto r = v->run(cfg);
+  const std::vector<olden::bench::Cell> cells = {
+      {v, 1, Coherence::kLocalKnowledge, Role::kSequential},
+      {v, 32, Coherence::kLocalKnowledge, Role::kPlan},
+      {v, 32, Coherence::kLocalKnowledge, Role::kMigrateOnly}};
+  const auto runs = olden::bench::run_cells("ablation_costmodel", cells,
+                                            obs.bench_config(), 1);
+  bool all_ok = true;
+  for (const olden::bench::CellResult& r : runs) all_ok = all_ok && r.ok;
+  for (std::size_t i = 1; all_ok && i < runs.size(); ++i) {
+    const olden::bench::BenchResult& r = runs[i].result;
     std::printf("  %-22s speedup %6.2f  (migrations %llu, misses %llu)\n",
-                migrate_only ? "migrate-only" : "heuristic (pin+cache)",
-                seq / r.kernel_seconds(),
+                i == 1 ? "heuristic (pin+cache)" : "migrate-only",
+                runs[0].result.kernel_seconds() / r.kernel_seconds(),
                 static_cast<unsigned long long>(r.stats.migrations),
                 static_cast<unsigned long long>(r.stats.cache_misses));
   }
-  return obs.finish() ? 0 : 1;
-} catch (const olden::fault::WatchdogError& e) {
-  // A fault plane that ran out of retransmissions: an error, not a
-  // crash (docs/ROBUSTNESS.md).
-  std::fprintf(stderr, "ablation_costmodel: %s\n", e.what());
-  return 1;
+  const bool wrote = obs.finish();
+  return wrote && all_ok ? 0 : 1;
 }

@@ -13,27 +13,24 @@
 //   host_perf [--repeat=N] [--nprocs=N] [--benchmarks=A,B,...]
 //             [--schemes=A,B] [--jobs=N] [--json=FILE]
 //
-// --jobs=N times the cells on a pool of N host threads (cells are
-// independent deterministic Machines). Per-cell wall times measured under
-// a loaded pool are noisier than serial ones — use --jobs for throughput
-// (total suite wall-clock), --jobs=1 when comparing per-cell numbers.
+// --jobs=N times the cells on N host threads through the cell runner
+// (src/olden/bench/runner.hpp), one pass over them per repetition.
+// Per-cell wall times measured under a loaded pool are noisier than serial
+// ones — use --jobs for throughput (total suite wall-clock), --jobs=1 when
+// comparing per-cell numbers.
 //
 // The JSON document is schema-versioned (host_bench_schema_version) and is
 // what tools/host_bench.py diffs against bench/baselines/HOST_seed.json.
 // Checksums are validated against the sequential reference on every run, so
 // a fast-but-wrong simulator fails here too (exit 1); bad flags exit 2.
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <exception>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "olden/bench/benchmark.hpp"
+#include "olden/bench/runner.hpp"
 #include "olden/support/io.hpp"
 
 namespace {
@@ -42,24 +39,6 @@ using namespace olden;
 using namespace olden::bench;
 
 constexpr int kHostBenchSchemaVersion = 1;
-
-struct SchemeName {
-  Coherence scheme;
-  const char* name;
-};
-constexpr SchemeName kAllSchemes[] = {
-    {Coherence::kLocalKnowledge, "local"},
-    {Coherence::kEagerGlobal, "global"},
-    {Coherence::kBilateral, "bilateral"},
-};
-
-struct CellTiming {
-  std::string benchmark;
-  std::string scheme;
-  double best_ms = 0.0;
-  std::uint64_t makespan_cycles = 0;
-  std::string error;
-};
 
 void usage(std::FILE* to) {
   std::fprintf(to,
@@ -119,125 +98,34 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<const Benchmark*> benches;
-  if (benchmarks_str.empty()) {
-    benches = suite();
-  } else {
-    for (const std::string& name : split_commas(benchmarks_str)) {
-      const Benchmark* b = find_benchmark(name);
-      if (b == nullptr) {
-        std::fprintf(stderr, "host_perf: unknown benchmark '%s'\n",
-                     name.c_str());
-        return 2;
-      }
-      benches.push_back(b);
-    }
+  std::vector<Cell> specs;
+  std::string err;
+  if (!grid_cells(benchmarks_str, schemes_str, static_cast<ProcId>(nprocs),
+                  &specs, &err)) {
+    std::fprintf(stderr, "host_perf: %s\n", err.c_str());
+    return 2;
   }
-  std::vector<SchemeName> schemes;
-  for (const std::string& name : split_commas(schemes_str)) {
-    bool found = false;
-    for (const SchemeName& s : kAllSchemes) {
-      if (name == s.name) {
-        schemes.push_back(s);
-        found = true;
+  // `repeat` passes over the cells; each cell's best run is reported.
+  std::vector<double> best_ms(specs.size(), -1.0);
+  std::vector<CellResult> runs;
+  for (std::uint64_t pass = 0; pass < repeat; ++pass) {
+    runs = run_cells("host_perf", specs, {.tiny = true}, jobs);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      if (!runs[i].ok) return 1;  // the runner named it on stderr
+      if (best_ms[i] < 0.0 || runs[i].run_ms < best_ms[i]) {
+        best_ms[i] = runs[i].run_ms;
       }
     }
-    if (!found) {
-      std::fprintf(stderr,
-                   "host_perf: unknown scheme '%s' (local, global, "
-                   "bilateral)\n",
-                   name.c_str());
-      return 2;
-    }
-  }
-
-  using Clock = std::chrono::steady_clock;
-  struct CellSpec {
-    const Benchmark* b;
-    SchemeName s;
-  };
-  std::vector<CellSpec> specs;
-  for (const Benchmark* b : benches) {
-    for (const SchemeName& s : schemes) specs.push_back({b, s});
-  }
-  std::vector<CellTiming> cells(specs.size());
-  const bool serial = jobs <= 1 || specs.size() <= 1;
-  auto time_cell = [&](std::size_t i) {
-    const Benchmark* b = specs[i].b;
-    const SchemeName& s = specs[i].s;
-    BenchConfig cfg;
-    cfg.nprocs = static_cast<ProcId>(nprocs);
-    cfg.scheme = s.scheme;
-    cfg.tiny = true;
-    CellTiming& cell = cells[i];
-    cell.benchmark = b->name();
-    cell.scheme = s.name;
-    cell.best_ms = -1.0;
-    for (std::uint64_t r = 0; r < repeat; ++r) {
-      const auto t0 = Clock::now();
-      const BenchResult res = b->run(cfg);
-      const auto t1 = Clock::now();
-      if (res.checksum != b->reference_checksum(cfg)) {
-        cell.error = "host_perf: " + b->name() + "/" + s.name +
-                     " checksum mismatch\n";
-        return;
-      }
-      cell.makespan_cycles = res.total_cycles;
-      const double ms =
-          std::chrono::duration<double, std::milli>(t1 - t0).count();
-      if (cell.best_ms < 0.0 || ms < cell.best_ms) cell.best_ms = ms;
-    }
-    if (serial) {
-      std::printf("%-12s %-9s %8.2f ms\n", cell.benchmark.c_str(),
-                  cell.scheme.c_str(), cell.best_ms);
-      std::fflush(stdout);
-    }
-  };
-  if (serial) {
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      time_cell(i);
-      if (!cells[i].error.empty()) {
-        std::fputs(cells[i].error.c_str(), stderr);
-        return 1;
-      }
-    }
-  } else {
-    std::atomic<std::size_t> next{0};
-    const std::size_t nworkers =
-        jobs < specs.size() ? static_cast<std::size_t>(jobs) : specs.size();
-    std::vector<std::thread> pool;
-    pool.reserve(nworkers);
-    for (std::size_t w = 0; w < nworkers; ++w) {
-      pool.emplace_back([&] {
-        for (std::size_t i = next.fetch_add(1); i < specs.size();
-             i = next.fetch_add(1)) {
-          try {
-            time_cell(i);
-          } catch (const std::exception& e) {
-            cells[i].error = "host_perf: " + specs[i].b->name() + "/" +
-                             specs[i].s.name + " failed: " + e.what() + "\n";
-          }
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-    bool failed = false;
-    for (const CellTiming& c : cells) {
-      if (!c.error.empty()) {
-        std::fputs(c.error.c_str(), stderr);
-        failed = true;
-      } else {
-        std::printf("%-12s %-9s %8.2f ms\n", c.benchmark.c_str(),
-                    c.scheme.c_str(), c.best_ms);
-      }
-    }
-    if (failed) return 1;
   }
   double total_best_ms = 0.0;
-  for (const CellTiming& c : cells) total_best_ms += c.best_ms;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    std::printf("%-12s %-9s %8.2f ms\n", specs[i].bench->name().c_str(),
+                to_string(specs[i].scheme), best_ms[i]);
+    total_best_ms += best_ms[i];
+  }
   std::printf("%-12s %-9s %8.2f ms  (%zu cells, best of %" PRIu64
               ", p=%" PRIu64 ", tiny)\n",
-              "TOTAL", "", total_best_ms, cells.size(), repeat, nprocs);
+              "TOTAL", "", total_best_ms, specs.size(), repeat, nprocs);
 
   if (!json_path.empty()) {
     std::string doc;
@@ -251,23 +139,22 @@ int main(int argc, char** argv) {
                   " \"cells\": [\n",
                   kHostBenchSchemaVersion, nprocs, repeat, jobs);
     doc += buf;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const CellTiming& c = cells[i];
+    for (std::size_t i = 0; i < specs.size(); ++i) {
       doc += "  {\"benchmark\": \"";
-      append_escaped(doc, c.benchmark);
+      append_escaped(doc, specs[i].bench->name());
       doc += "\", \"scheme\": \"";
-      append_escaped(doc, c.scheme);
-      std::snprintf(buf, sizeof buf,
-                    "\", \"best_ms\": %.3f, \"makespan_cycles\": %llu}%s\n",
-                    c.best_ms,
-                    static_cast<unsigned long long>(c.makespan_cycles),
-                    i + 1 < cells.size() ? "," : "");
+      append_escaped(doc, to_string(specs[i].scheme));
+      std::snprintf(
+          buf, sizeof buf,
+          "\", \"best_ms\": %.3f, \"makespan_cycles\": %llu}%s\n",
+          best_ms[i],
+          static_cast<unsigned long long>(runs[i].result.total_cycles),
+          i + 1 < specs.size() ? "," : "");
       doc += buf;
     }
     std::snprintf(buf, sizeof buf, " ],\n \"total_best_ms\": %.3f\n}\n",
                   total_best_ms);
     doc += buf;
-    std::string err;
     if (!write_file(json_path, doc, &err)) {
       std::fprintf(stderr, "host_perf: %s\n", err.c_str());
       return 1;

@@ -18,7 +18,7 @@ struct Node {
 enum Site : SiteId { kVal, kNext, kNumSites };
 
 /// Drive one walk over a pre-built ring; `iters` accesses per program run.
-Task<std::int64_t> ring_walk(Machine& m, GPtr<Node> head, std::int64_t iters) {
+Task<std::int64_t> ring_walk(GPtr<Node> head, std::int64_t iters) {
   std::int64_t acc = 0;
   GPtr<Node> p = head;
   for (std::int64_t i = 0; i < iters; ++i) {
@@ -49,7 +49,7 @@ Task<GPtr<Node>> build_ring(Machine& m, int n, bool spread) {
 Task<std::int64_t> walk_root(Machine& m, int n, bool spread,
                              std::int64_t iters) {
   auto head = co_await build_ring(m, n, spread);
-  co_return co_await ring_walk(m, head, iters);
+  co_return co_await ring_walk(head, iters);
 }
 
 void BM_LocalAccess(benchmark::State& state) {

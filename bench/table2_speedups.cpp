@@ -11,10 +11,11 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "olden/bench/benchmark.hpp"
 #include "olden/bench/obs_cli.hpp"
-#include "olden/fault/fault_plane.hpp"
+#include "olden/bench/runner.hpp"
 #include "olden/profile/feedback.hpp"
 
 namespace {
@@ -48,7 +49,7 @@ double timed_seconds(const Benchmark& b, const BenchResult& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) try {
+int main(int argc, char** argv) {
   ObsCli obs;
   obs.parse(&argc, argv, {"--paper-size", "--heuristic"});
   bool paper_size = false;
@@ -87,63 +88,52 @@ int main(int argc, char** argv) try {
       "%-11s %-4s %9s | %41s | %s\n", "Benchmark", "Mech", "Seq(s)",
       "speedup at P = 1     2     4     8    16    32", "Migrate-only(32)");
 
+  // Per benchmark: the sequential baseline, the plan at each P, and
+  // migrate-only at 32.
   const ProcId kProcs[6] = {1, 2, 4, 8, 16, 32};
+  constexpr std::size_t kRow = 8;
+  std::vector<Cell> cells;
   for (const Benchmark* b : suite()) {
-    BenchConfig base;
-    base.paper_size = paper_size;
-    base.sequential_baseline = true;
-    base.nprocs = 1;
-    base.observer = obs.observer();
-    base.faults = obs.faults();
-    base.fault_seed = obs.fault_seed();
-    // Only the plan's runs at p > 1 name their benchmark: --profile grades
-    // each site over the runs that do.
-    obs.begin_run(b->name() + "/seq");
-    const BenchResult seq = b->run(base);
-    const double seq_s = timed_seconds(*b, seq);
+    cells.push_back({b, 1, Coherence::kLocalKnowledge, Role::kSequential});
+    for (const ProcId p : kProcs) cells.push_back({b, p});
+    cells.push_back({b, 32, Coherence::kLocalKnowledge, Role::kMigrateOnly});
+  }
+  BenchConfig base = obs.bench_config();
+  base.paper_size = paper_size;
+  if (use_feedback) base.feedback = &feedback;
+  const std::vector<CellResult> runs =
+      run_cells("table2_speedups", cells, base, 1);
 
-    double sp[6];
-    std::string mech;
-    for (int i = 0; i < 6; ++i) {
-      BenchConfig cfg;
-      cfg.paper_size = paper_size;
-      cfg.nprocs = kProcs[i];
-      cfg.observer = obs.observer();
-      cfg.faults = obs.faults();
-      cfg.fault_seed = obs.fault_seed();
-      if (use_feedback) cfg.feedback = &feedback;
-      std::map<std::string, std::string> meta;
-      if (kProcs[i] > 1) meta["benchmark"] = b->name();
-      obs.begin_run(b->name() + "/p=" + std::to_string(kProcs[i]),
-                    std::move(meta));
-      const BenchResult r = b->run(cfg);
-      sp[i] = seq_s / timed_seconds(*b, r);
-      if (kProcs[i] == 32) {
-        mech = r.stats.remote_cacheable() == 0 ? "M" : "M+C";
-      }
+  bool all_ok = true;
+  for (std::size_t row = 0; row < cells.size(); row += kRow) {
+    const Benchmark& b = *cells[row].bench;
+    bool row_ok = true;
+    for (std::size_t i = row; i < row + kRow; ++i) {
+      row_ok = row_ok && runs[i].ok;
     }
-    BenchConfig mo;
-    mo.paper_size = paper_size;
-    mo.nprocs = 32;
-    mo.migrate_only = true;
-    mo.observer = obs.observer();
-    mo.faults = obs.faults();
-    mo.fault_seed = obs.fault_seed();
-    obs.begin_run(b->name() + "/p=32/migrate-only");
-    const BenchResult rmo = b->run(mo);
-    const double mo32 = seq_s / timed_seconds(*b, rmo);
-
-    const PaperRow& pr = kPaper.at(b->name());
-    std::printf("%-11s %-4s %8.2fs |", b->name().c_str(), mech.c_str(),
-                seq_s);
-    for (double v : sp) std::printf(" %5.2f", v);
-    std::printf(" |");
-    if (pr.migrate_only32 >= 0) {
-      std::printf(" %5.2f (paper %.2f)", mo32, pr.migrate_only32);
+    all_ok = all_ok && row_ok;
+    const PaperRow& pr = kPaper.at(b.name());
+    const double seq_s = timed_seconds(b, runs[row].result);
+    if (!row_ok) {
+      std::printf("%-11s (a cell failed; see stderr)\n", b.name().c_str());
     } else {
-      std::printf("   n/a (M row)");
+      const BenchResult& r32 = runs[row + 6].result;
+      std::printf("%-11s %-4s %8.2fs |", b.name().c_str(),
+                  r32.stats.remote_cacheable() == 0 ? "M" : "M+C", seq_s);
+      for (std::size_t i = 1; i <= 6; ++i) {
+        std::printf(" %5.2f", seq_s / timed_seconds(b, runs[row + i].result));
+      }
+      std::printf(" |");
+      if (pr.migrate_only32 >= 0) {
+        std::printf(" %5.2f (paper %.2f)",
+                    seq_s / timed_seconds(b, runs[row + 7].result),
+                    pr.migrate_only32);
+      } else {
+        std::printf("   n/a (M row)");
+      }
+      std::printf("\n");
     }
-    std::printf("\n%-11s %-4s %8.2fs |", "  (paper)", "", pr.seq);
+    std::printf("%-11s %-4s %8.2fs |", "  (paper)", "", pr.seq);
     for (double v : pr.speedup) std::printf(" %5.2f", v);
     std::printf(" |\n");
   }
@@ -153,10 +143,6 @@ int main(int argc, char** argv) try {
       "column, dramatically for Voronoi/EM3D/Barnes-Hut; Health's M+C is "
       "within noise of migrate-only (too few remote patients to pay for "
       "caching).\n");
-  return obs.finish() ? 0 : 1;
-} catch (const olden::fault::WatchdogError& e) {
-  // A fault plane that ran out of retransmissions: an error, not a
-  // crash (docs/ROBUSTNESS.md).
-  std::fprintf(stderr, "table2_speedups: %s\n", e.what());
-  return 1;
+  const bool wrote = obs.finish();
+  return wrote && all_ok ? 0 : 1;
 }

@@ -10,10 +10,11 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "olden/bench/benchmark.hpp"
 #include "olden/bench/obs_cli.hpp"
-#include "olden/fault/fault_plane.hpp"
+#include "olden/bench/runner.hpp"
 
 namespace {
 
@@ -41,7 +42,7 @@ const char* kMCBenchmarks[] = {"Bisort",     "Voronoi",   "EM3D",
 
 }  // namespace
 
-int main(int argc, char** argv) try {
+int main(int argc, char** argv) {
   ObsCli obs;
   obs.parse(&argc, argv, {"--paper-size"});
   bool paper_size = false;
@@ -63,52 +64,47 @@ int main(int argc, char** argv) try {
               "Benchmark", "(1000s)", "%rem", "(1000s)", "%rem", "local",
               "global", "bilat", "cached");
 
+  std::vector<Cell> cells;
   for (const char* name : kMCBenchmarks) {
-    const Benchmark* b = find_benchmark(name);
-    double miss[3] = {0, 0, 0};
-    MachineStats local_stats;
-    std::uint64_t pages = 0;
-    const Coherence schemes[3] = {Coherence::kLocalKnowledge,
-                                  Coherence::kEagerGlobal,
-                                  Coherence::kBilateral};
-    for (int s = 0; s < 3; ++s) {
-      BenchConfig cfg;
-      cfg.paper_size = paper_size;
-      cfg.nprocs = 32;
-      cfg.scheme = schemes[s];
-      cfg.observer = obs.observer();
-      cfg.faults = obs.faults();
-      cfg.fault_seed = obs.fault_seed();
-      obs.begin_run(std::string(name) + "/p=32/" + to_string(schemes[s]),
-                    {{"benchmark", name}});
-      const BenchResult r = b->run(cfg);
-      miss[s] = r.stats.remote_miss_percent();
-      if (s == 0) {
-        local_stats = r.stats;
-        pages = r.stats.pages_cached;
-      }
+    for (const Coherence s : kSchemes) {
+      cells.push_back({find_benchmark(name), 32, s});
+    }
+  }
+  BenchConfig base = obs.bench_config();
+  base.paper_size = paper_size;
+  const std::vector<CellResult> runs =
+      run_cells("table3_coherence", cells, base, 1);
+
+  bool all_ok = true;
+  for (std::size_t row = 0; row < cells.size(); row += 3) {
+    const char* name = kMCBenchmarks[row / 3];
+    const bool row_ok = runs[row].ok && runs[row + 1].ok && runs[row + 2].ok;
+    all_ok = all_ok && row_ok;
+    if (!row_ok) {
+      std::printf("%-11s | (a cell failed; see stderr)\n", name);
+    } else {
+      // The cacheable counts and pages cached are local knowledge's.
+      const MachineStats& local = runs[row].result.stats;
+      std::printf(
+          "%-11s | %7.0f %5.2f | %7.0f %5.2f | %8.2f %8.2f %8.2f | %10llu\n",
+          name, local.cacheable_writes / 1000.0,
+          local.percent_writes_remote(), local.cacheable_reads / 1000.0,
+          local.percent_reads_remote(), local.remote_miss_percent(),
+          runs[row + 1].result.stats.remote_miss_percent(),
+          runs[row + 2].result.stats.remote_miss_percent(),
+          static_cast<unsigned long long>(local.pages_cached));
     }
     const PaperRow& pr = kPaper.at(name);
-    std::printf("%-11s | %7.0f %5.2f | %7.0f %5.2f | %8.2f %8.2f %8.2f | %10llu\n",
-                name, local_stats.cacheable_writes / 1000.0,
-                local_stats.percent_writes_remote(),
-                local_stats.cacheable_reads / 1000.0,
-                local_stats.percent_reads_remote(), miss[0], miss[1], miss[2],
-                static_cast<unsigned long long>(pages));
-    std::printf("%-11s | %7.0f %5.2f | %7.0f %5.2f | %8.2f %8.2f %8.2f | %10u\n",
-                "  (paper)", pr.writes_k, pr.writes_pct, pr.reads_k,
-                pr.reads_pct, pr.miss_local, pr.miss_global,
-                pr.miss_bilateral, pr.pages);
+    std::printf(
+        "%-11s | %7.0f %5.2f | %7.0f %5.2f | %8.2f %8.2f %8.2f | %10u\n",
+        "  (paper)", pr.writes_k, pr.writes_pct, pr.reads_k, pr.reads_pct,
+        pr.miss_local, pr.miss_global, pr.miss_bilateral, pr.pages);
   }
   std::printf(
       "\nShape checks: the global scheme never misses more than local "
       "(line-precise invalidations); bilateral sits near local; Health's "
       "miss %% collapses under global knowledge; remote fractions are "
       "small everywhere but Barnes-Hut, whose cached tree dominates.\n");
-  return obs.finish() ? 0 : 1;
-} catch (const olden::fault::WatchdogError& e) {
-  // A fault plane that ran out of retransmissions: an error, not a
-  // crash (docs/ROBUSTNESS.md).
-  std::fprintf(stderr, "table3_coherence: %s\n", e.what());
-  return 1;
+  const bool wrote = obs.finish();
+  return wrote && all_ok ? 0 : 1;
 }

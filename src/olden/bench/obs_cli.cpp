@@ -1,12 +1,9 @@
 #include "olden/bench/obs_cli.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <vector>
 
-#include "olden/analyze/trace_reader.hpp"
 #include "olden/profile/feedback.hpp"
 #include "olden/support/io.hpp"
 
@@ -180,33 +177,6 @@ const char* ObsCli::usage() {
          "                     src/olden/fault/fault_spec.hpp)\n"
          "  --fault-seed=N     fault-plane RNG seed (default 1)\n"
          "  --version          print stats/trace schema versions and exit\n";
-}
-
-bool adopt_cell(trace::Observer& main, trace::Observer& cell,
-                const std::string& cell_path, std::string* err) {
-  // One read batch of the cell file is all the copy holds.
-  constexpr std::uint64_t kBatchEvents = 1 << 14;
-  // A cell whose run threw left its file unfinished, and no run to copy.
-  analyze::TraceStream in;
-  bool ok = main.sink() == nullptr || cell.runs().empty() ||
-            in.open(cell_path, err);
-  analyze::TraceRun run;
-  std::vector<trace::TraceEvent> batch;
-  main.adopt_runs_from(cell, [&](trace::StreamingTraceSink& to,
-                                 std::uint64_t keep) {
-    ok = ok && in.next_run(&run, err);
-    while (ok && keep > 0) {
-      ok = in.next_events(&batch, std::min(keep, kBatchEvents), err);
-      for (const trace::TraceEvent& e : batch) to.append(e);
-      keep -= batch.size();
-    }
-  });
-  if (main.sink() == nullptr) return true;
-  std::remove(cell_path.c_str());
-  if (!ok && err->empty()) {
-    *err = cell_path + ": holds fewer events than its cell streamed";
-  }
-  return ok;
 }
 
 }  // namespace olden::bench

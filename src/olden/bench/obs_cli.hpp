@@ -22,6 +22,7 @@
 #include <memory>
 #include <string>
 
+#include "olden/bench/benchmark.hpp"
 #include "olden/fault/fault_spec.hpp"
 #include "olden/trace/observer.hpp"
 
@@ -55,6 +56,13 @@ class ObsCli {
   }
   [[nodiscard]] std::uint64_t fault_seed() const { return fault_seed_; }
 
+  /// The base a binary hands run_cells: recording into observer() under
+  /// faults().
+  [[nodiscard]] BenchConfig bench_config() {
+    return {
+        .observer = observer(), .faults = faults(), .fault_seed = fault_seed_};
+  }
+
   /// Label the next Machine run (no-op when inactive).
   void begin_run(std::string label,
                  std::map<std::string, std::string> meta = {});
@@ -78,15 +86,5 @@ class ObsCli {
   fault::FaultSpec fault_spec_;
   std::uint64_t fault_seed_ = 1;
 };
-
-/// The bench_cell --jobs merge of one worker cell. `cell` recorded like
-/// `main` (the same trace switch and retention limit) and, when `main`
-/// has a sink, streamed its runs into a file of its own at `cell_path`.
-/// Adopts the cell's runs into `main` in order (Observer::adopt_runs_from
-/// re-applies the retention limit), copies the events each run keeps from
-/// the cell file into main's sink one read batch at a time, then removes
-/// the file. Returns false, with *err set, if the file does not read back.
-bool adopt_cell(trace::Observer& main, trace::Observer& cell,
-                const std::string& cell_path, std::string* err);
 
 }  // namespace olden::bench

@@ -130,8 +130,7 @@ void Observer::finish(const Machine& m) {
 
 void Observer::adopt_runs_from(Observer& donor, const CopyEvents& copy) {
   for (RunRecord& r : donor.runs_) {
-    const std::uint64_t budget =
-        event_limit_ > events_retained_ ? event_limit_ - events_retained_ : 0;
+    const std::uint64_t budget = events_left();
     if (r.events_streamed > budget) {
       r.events_dropped += r.events_streamed - budget;
       r.events_streamed = budget;

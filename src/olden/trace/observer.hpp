@@ -102,6 +102,11 @@ class Observer {
   /// are counted in `events_dropped` but not written.
   void set_event_limit(std::uint64_t n) { event_limit_ = n; }
   [[nodiscard]] std::uint64_t event_limit() const { return event_limit_; }
+  /// What the limit still admits after the events already streamed.
+  [[nodiscard]] std::uint64_t events_left() const {
+    return event_limit_ > events_retained_ ? event_limit_ - events_retained_
+                                           : 0;
+  }
 
   /// Count each dereference site's accesses by how they resolved (see
   /// src/olden/profile/ and docs/PROFILING.md). Like tracing, profiling
@@ -135,15 +140,15 @@ class Observer {
   using CopyEvents = std::function<void(StreamingTraceSink& to,
                                         std::uint64_t n)>;
 
-  /// Append every run completed in `donor` (a host-parallel worker cell
-  /// that streamed to a sink of its own), in order; leaves donor empty.
-  /// A serial observer would have entered each run with `budget` slots of
-  /// the cross-run retention limit left and streamed its first `budget`
-  /// events; the donor, which started from the full limit, streamed a
-  /// superset prefix. So each run keeps min(budget, streamed) events, and
-  /// with a sink installed `copy` appends them between the run's header
-  /// and its end. Merging workers in serial cell order thus reproduces
-  /// the serial record byte for byte.
+  /// Append every run completed in `donor` (a cell that recorded into an
+  /// observer of its own and streamed to a sink of its own), in order;
+  /// leaves donor empty. A serial observer would have entered each run
+  /// with `budget` slots of the cross-run retention limit left and
+  /// streamed its first `budget` events; the donor, which started from at
+  /// least that budget, streamed a superset prefix. So each run keeps
+  /// min(budget, streamed) events, and with a sink installed `copy`
+  /// appends them between the run's header and its end. Merging cells in
+  /// cell order thus reproduces the serial record byte for byte.
   void adopt_runs_from(Observer& donor, const CopyEvents& copy);
 
   // --- hot-path hooks (called by the runtime, observer non-null) ---------

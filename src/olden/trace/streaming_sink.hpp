@@ -20,9 +20,9 @@
 //
 // Errors are sticky: the first I/O failure is recorded, every later call
 // becomes a no-op, and finalize() reports it. The sink is single-threaded
-// by design — in host-parallel mode (bench_cell --jobs) each worker cell
-// streams into a sink and file of its own, and the main thread copies
-// those files into the real sink in serial cell order (bench::adopt_cell).
+// by design — each cell the cell runner runs (bench::run_cells) streams
+// into a sink and file of its own, and the calling thread copies those
+// files into the real sink in cell order (bench::adopt_cell).
 #pragma once
 
 #include <cstdint>

@@ -20,7 +20,7 @@
 #include "olden/analyze/diff.hpp"
 #include "olden/analyze/streaming.hpp"
 #include "olden/bench/benchmark.hpp"
-#include "olden/bench/obs_cli.hpp"
+#include "olden/bench/runner.hpp"
 #include "olden/fault/fault_spec.hpp"
 #include "olden/trace/observer.hpp"
 #include "trace_digest.hpp"

@@ -11,7 +11,7 @@
 #include <string>
 
 #include "olden/bench/benchmark.hpp"
-#include "olden/bench/obs_cli.hpp"
+#include "olden/bench/runner.hpp"
 #include "olden/fault/fault_spec.hpp"
 #include "olden/profile/feedback.hpp"
 #include "olden/profile/profile.hpp"

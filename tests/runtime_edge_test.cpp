@@ -142,7 +142,7 @@ TEST(RuntimeEdge, DeepMigrationChainsUnwind) {
 
 // --- futures: many outstanding, touched in reverse ------------------------
 
-Task<std::int64_t> leafwork(Machine& m, GPtr<Node> n) {
+Task<std::int64_t> leafwork(GPtr<Node> n) {
   co_return co_await rd(n, &Node::val, kMig0);  // migrates
 }
 
@@ -155,7 +155,7 @@ Task<std::int64_t> reverse_touch(Machine& m, int count) {
   }
   std::vector<Future<std::int64_t>> fs;
   for (int i = 0; i < count; ++i) {
-    fs.push_back(co_await futurecall(leafwork(m, nodes[i])));
+    fs.push_back(co_await futurecall(leafwork(nodes[i])));
   }
   std::int64_t acc = 0;
   for (int i = count - 1; i >= 0; --i) {
@@ -176,15 +176,15 @@ TEST(RuntimeEdge, OutstandingFuturesTouchedInAnyOrder) {
 
 // --- nested futures: grandchildren write, grandparent reads ---------------
 
-Task<std::int64_t> grandchild(Machine& m, GPtr<Node> n) {
+Task<std::int64_t> grandchild(GPtr<Node> n) {
   const auto v = co_await rd(n, &Node::val, kMig0);  // migrate + local write
   co_await wr(n, &Node::val, v * 2, kMig0);
   co_return 0;
 }
 
-Task<std::int64_t> child(Machine& m, GPtr<Node> a, GPtr<Node> b) {
-  auto f1 = co_await futurecall(grandchild(m, a));
-  auto f2 = co_await futurecall(grandchild(m, b));
+Task<std::int64_t> child(GPtr<Node> a, GPtr<Node> b) {
+  auto f1 = co_await futurecall(grandchild(a));
+  auto f2 = co_await futurecall(grandchild(b));
   co_await touch(f1);
   co_await touch(f2);
   co_return 0;
@@ -198,7 +198,7 @@ Task<std::int64_t> grandparent(Machine& m) {
   // Prime this processor's cache with stale-to-be values.
   (void)co_await rd(a, &Node::val, kCache0);
   (void)co_await rd(b, &Node::val, kCache0);
-  auto f = co_await futurecall(child(m, a, b));
+  auto f = co_await futurecall(child(a, b));
   co_await touch(f);
   // The grandchildren's writes must be visible through our cache: the
   // written-set propagates through the nested touches (the coherence

@@ -4,12 +4,12 @@
 // consumer (baseline diffs, olden-analyze, the schema checker) depends on
 // them:
 //
-//   * the bench_cell --jobs merge (bench::adopt_cell), which copies the
-//     file each worker cell streamed into the main sink in serial cell
-//     order, writes the same trace and stats document as the same cells
+//   * the cell runner (bench::run_cells), which copies the file each cell
+//     streamed into the main sink in cell order, writes the same trace,
+//     stats and feedback documents at every job count as the same cells
 //     streamed serially — including when the cross-run retention limit
-//     truncates mid-suite, and when a cell fails — and leaves no cell
-//     file behind,
+//     truncates mid-list, and when a cell fails — names and validates
+//     every cell, and leaves no cell file behind,
 //   * the sink hands every field of every record back through the reader
 //     as it was given, and a truncated multi-run file says what it dropped,
 //   * the analyzer (TraceStream + StreamingRunAnalyzer) and the Chrome
@@ -20,8 +20,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <exception>
 #include <filesystem>
+#include <functional>
+#include <map>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -31,8 +32,9 @@
 #include "olden/analyze/streaming.hpp"
 #include "olden/analyze/trace_reader.hpp"
 #include "olden/bench/benchmark.hpp"
-#include "olden/bench/obs_cli.hpp"
+#include "olden/bench/runner.hpp"
 #include "olden/fault/fault_spec.hpp"
+#include "olden/profile/feedback.hpp"
 #include "olden/trace/observer.hpp"
 #include "olden/trace/streaming_sink.hpp"
 #include "trace_digest.hpp"
@@ -44,7 +46,7 @@ using test::read_file;
 using test::temp_path;
 using test::write_file;
 
-/// One (benchmark, scheme) cell into `obs`, the way bench_cell labels it.
+/// One (benchmark, scheme) tiny cell on four processors into `obs`.
 void run_cell(trace::Observer& obs, const std::string& name, Coherence scheme,
               const fault::FaultSpec* faults = nullptr) {
   const Benchmark* b = find_benchmark(name);
@@ -57,76 +59,116 @@ void run_cell(trace::Observer& obs, const std::string& name, Coherence scheme,
   (void)b->run(cfg);
 }
 
+/// What a list of cells leaves behind: the trace bytes, the stats and
+/// the feedback document.
 struct Golden {
   std::string trace_bytes;
   std::string stats;
+  std::string feedback;
 };
 
-using Cells = std::vector<std::pair<std::string, Coherence>>;
+Golden golden_of(test::StreamedObserver& obs) {
+  return {test::trace_bytes(obs), trace::stats_json(obs),
+          profile::feedback_from_profile(obs.runs())};
+}
 
-/// The cells run one after another into one streamed observer.
-Golden run_serial(const Cells& cells, std::uint64_t limit) {
+BenchConfig tiny_config(const fault::FaultSpec* faults = nullptr) {
+  BenchConfig cfg;
+  cfg.tiny = true;
+  cfg.faults = faults;
+  return cfg;
+}
+
+/// The reference every job count of the runner must reproduce: `cells`
+/// run one after another straight into one streamed, profiled observer,
+/// each configured, labelled and tagged by the rules runner.hpp states.
+Golden run_serial(const std::vector<Cell>& cells, std::uint64_t limit,
+                  const BenchConfig& base) {
   test::StreamedObserver obs;
   obs.set_event_limit(limit);
-  for (const auto& [name, scheme] : cells) run_cell(obs, name, scheme);
-  return {test::trace_bytes(obs), trace::stats_json(obs)};
-}
-
-/// One cell the bench_cell --jobs way: it records into an observer of its
-/// own, from the full retention limit (a superset of the serial budget),
-/// and streams to a file of its own, which adopt_cell then copies into
-/// `main` and removes. Returns false if the cell's run threw.
-bool merge_cell(trace::Observer& main, const std::string& name,
-                Coherence scheme, const fault::FaultSpec* faults = nullptr) {
-  static int cells_merged = 0;
-  const std::string path =
-      temp_path("cell" + std::to_string(cells_merged++) + ".bin");
-  trace::StreamingTraceSink sink(path);
-  trace::Observer cell;
-  cell.set_trace_enabled(true);
-  cell.set_event_limit(main.event_limit());
-  cell.set_sink(&sink);
-  bool ran = true;
-  try {
-    run_cell(cell, name, scheme, faults);
-  } catch (const std::exception&) {
-    ran = false;
+  obs.enable_profile();
+  for (const Cell& c : cells) {
+    const bool plan = c.role == Role::kPlan;
+    std::map<std::string, std::string> meta = {{"size", "tiny"}};
+    if (plan && c.nprocs > 1) meta["benchmark"] = c.bench->name();
+    obs.begin_run("BENCH/" + c.bench->name() + "/p=" +
+                      std::to_string(c.nprocs) + "/" + to_string(c.scheme) +
+                      (c.role == Role::kSequential    ? "/seq"
+                       : c.role == Role::kMigrateOnly ? "/migrate-only"
+                                                      : ""),
+                  meta);
+    BenchConfig cfg = base;
+    cfg.nprocs = c.nprocs;
+    cfg.scheme = c.scheme;
+    cfg.sequential_baseline = c.role == Role::kSequential;
+    cfg.migrate_only = c.role == Role::kMigrateOnly;
+    if (!plan) cfg.feedback = nullptr;
+    cfg.observer = &obs;
+    (void)c.bench->run(cfg);
   }
-  std::string err;
-  EXPECT_EQ(sink.finalize(&err), ran) << err;  // a thrown run stays open
-  err.clear();
-  EXPECT_TRUE(adopt_cell(main, cell, path, &err)) << err;
-  EXPECT_FALSE(std::filesystem::exists(path)) << path << " left behind";
-  return ran;
+  return golden_of(obs);
 }
 
-/// The cells through the --jobs merge, in cell order, write the trace
-/// and stats document the serial run writes, at the default limit and at
-/// `truncating`, which the cells run dry of.
-void expect_merge_matches_serial(const Cells& cells,
-                                 std::uint64_t truncating) {
+/// Runs `cells` through the runner at one job and at four, at the default
+/// retention limit and at `truncating`, which the cells run dry of. Each
+/// run must write what the serial run of `completing` (the cells that do
+/// not throw) writes, merge its cells in order with at most `jobs` cell
+/// files on disk at once, and leave none. `check` sees each run's
+/// observer and results.
+void expect_runner_matches_serial(
+    const std::vector<Cell>& cells, const std::vector<Cell>& completing,
+    std::uint64_t truncating, const BenchConfig& base,
+    const std::function<void(test::StreamedObserver&,
+                             const std::vector<CellResult>&)>& check = {}) {
   for (const std::uint64_t limit :
        {trace::Observer{}.event_limit(), truncating}) {
-    const Golden serial = run_serial(cells, limit);
-    test::StreamedObserver main_obs;
-    main_obs.set_event_limit(limit);
-    for (const auto& [name, scheme] : cells) {
-      EXPECT_TRUE(merge_cell(main_obs, name, scheme));
+    const Golden serial = run_serial(completing, limit, base);
+    if (limit == truncating) {
+      EXPECT_NE(serial.stats.find("\"trace_truncated\":true"),
+                std::string::npos);
     }
-    EXPECT_EQ(trace::stats_json(main_obs), serial.stats) << "limit " << limit;
-    const std::string merged = test::trace_bytes(main_obs);
-    ASSERT_EQ(merged.size(), serial.trace_bytes.size()) << "limit " << limit;
-    EXPECT_TRUE(merged == serial.trace_bytes) << "limit " << limit;
+    for (const std::size_t jobs : {1, 4}) {
+      SCOPED_TRACE("limit " + std::to_string(limit) + ", jobs " +
+                   std::to_string(jobs));
+      test::StreamedObserver obs;
+      obs.set_event_limit(limit);
+      obs.enable_profile();
+      BenchConfig cfg = base;
+      cfg.observer = &obs;
+      const std::string cell_prefix = obs.sink()->path() + ".cell";
+      const auto cell_files = [&] {
+        std::size_t on_disk = 0;
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+          on_disk += std::filesystem::exists(cell_prefix + std::to_string(i));
+        }
+        return on_disk;
+      };
+      std::size_t merged = 0;
+      const std::vector<CellResult> results = run_cells(
+          "runner", cells, cfg, jobs, [&](std::size_t i, const CellResult&) {
+            EXPECT_EQ(i, merged++);
+            EXPECT_LE(cell_files(), jobs);
+          });
+      EXPECT_EQ(merged, cells.size());
+      EXPECT_EQ(cell_files(), 0u);
+      const Golden got = golden_of(obs);
+      EXPECT_EQ(got.stats, serial.stats);
+      EXPECT_EQ(got.feedback, serial.feedback);
+      ASSERT_EQ(got.trace_bytes.size(), serial.trace_bytes.size());
+      EXPECT_TRUE(got.trace_bytes == serial.trace_bytes);
+      if (check) check(obs, results);
+    }
   }
 }
 
 class StreamingSinkEquivalence
     : public ::testing::TestWithParam<std::tuple<std::string, Coherence>> {};
 
-/// One cell merged the --jobs way writes the serial bytes and stats.
+/// One cell through the runner writes the serial bytes and stats.
 TEST_P(StreamingSinkEquivalence, MergedCellMatchesSerial) {
   const auto [name, scheme] = GetParam();
-  expect_merge_matches_serial({{name, scheme}}, 2'000);
+  const std::vector<Cell> cells = {{find_benchmark(name), 4, scheme}};
+  expect_runner_matches_serial(cells, cells, 2'000, tiny_config());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -243,34 +285,124 @@ TEST(StreamingSink, RecordRoundTripsEveryField) {
   EXPECT_EQ(err, "");
 }
 
-/// The bench_cell --jobs merge of three cells reconstructs the serial
-/// record, also when the retention limit truncates mid-suite. Byte
-/// equality with the serial record is what makes --jobs output-invisible.
+/// The runner's merge of three cells reconstructs the serial record, also
+/// when the retention limit truncates mid-list. Byte equality with the
+/// serial record is what makes --jobs output-invisible.
 TEST(CellMerge, ReconstructsSerialRecord) {
-  expect_merge_matches_serial({{"TreeAdd", Coherence::kLocalKnowledge},
-                               {"MST", Coherence::kLocalKnowledge},
-                               {"Health", Coherence::kLocalKnowledge}},
-                              2'500);
+  const std::vector<Cell> cells = {{find_benchmark("TreeAdd"), 4},
+                                   {find_benchmark("MST"), 4},
+                                   {find_benchmark("Health"), 4}};
+  expect_runner_matches_serial(cells, cells, 2'500, tiny_config());
+}
+
+/// Lost fills trip the watchdog, so under `drop=1,classes=fill` a cell that
+/// caches throws and the migrate-only TreeAdd and MST complete.
+fault::FaultSpec lost_fills() {
+  fault::FaultSpec spec;
+  std::string err;
+  EXPECT_TRUE(fault::parse_fault_spec("drop=1,classes=fill", &spec, &err))
+      << err;
+  return spec;
 }
 
 /// A cell whose run throws (a watchdog trip) adds no run to the merge, and
 /// its file goes as well: the merged trace is the other cells' serial one.
 TEST(CellMerge, FailedCellAddsNothingAndLeavesNoFile) {
-  fault::FaultSpec drop_all;
-  std::string err;
-  ASSERT_TRUE(fault::parse_fault_spec("drop=1", &drop_all, &err)) << err;
-  const Golden serial = run_serial(
-      {{"TreeAdd", Coherence::kBilateral}, {"MST", Coherence::kBilateral}},
-      3'000);
+  const fault::FaultSpec faults = lost_fills();
+  const Cell tree = {find_benchmark("TreeAdd"), 4, Coherence::kBilateral};
+  const Cell em3d = {find_benchmark("EM3D"), 4, Coherence::kBilateral};
+  const Cell mst = {find_benchmark("MST"), 4, Coherence::kBilateral};
+  expect_runner_matches_serial(
+      {tree, em3d, mst}, {tree, mst}, 3'000, tiny_config(&faults),
+      [](test::StreamedObserver&, const std::vector<CellResult>& results) {
+        EXPECT_TRUE(results[0].ok && results[2].ok);
+        EXPECT_FALSE(results[1].ran || results[1].ok);
+      });
+}
 
-  test::StreamedObserver main_obs;
-  main_obs.set_event_limit(3'000);
-  EXPECT_TRUE(merge_cell(main_obs, "TreeAdd", Coherence::kBilateral));
-  EXPECT_FALSE(
-      merge_cell(main_obs, "EM3D", Coherence::kBilateral, &drop_all));
-  EXPECT_TRUE(merge_cell(main_obs, "MST", Coherence::kBilateral));
-  EXPECT_EQ(trace::stats_json(main_obs), serial.stats);
-  EXPECT_TRUE(test::trace_bytes(main_obs) == serial.trace_bytes);
+/// TreeAdd under another name, whose host reference disagrees with it.
+class WrongReference final : public Benchmark {
+ public:
+  std::string name() const override { return "WrongRef"; }
+  std::string description() const override { return tree().description(); }
+  std::string problem_size(bool paper) const override {
+    return tree().problem_size(paper);
+  }
+  bool whole_program_timing() const override {
+    return tree().whole_program_timing();
+  }
+  std::string heuristic_choice() const override {
+    return tree().heuristic_choice();
+  }
+  ir::Program ir_program() const override { return tree().ir_program(); }
+  std::size_t num_sites() const override { return tree().num_sites(); }
+  BenchResult run(const BenchConfig& cfg) const override {
+    return tree().run(cfg);
+  }
+  std::uint64_t reference_checksum(const BenchConfig& cfg) const override {
+    return tree().reference_checksum(cfg) + 1;
+  }
+
+ private:
+  static const Benchmark& tree() { return treeadd_benchmark(); }
+};
+
+/// One list through every job count and limit: the three roles, two
+/// schemes, a plan at p=1, a cell the lost fills trip and one whose
+/// reference disagrees. Each run is labelled and tagged by the rule in
+/// runner.hpp, and a failure fails its own cell alone, named by label.
+TEST(CellRunner, LabelsValidatesAndFailsCellsAlone) {
+  const fault::FaultSpec faults = lost_fills();
+  const WrongReference wrong;
+  const Benchmark* tree = find_benchmark("TreeAdd");
+  const std::vector<Cell> cells = {
+      {tree, 1, Coherence::kLocalKnowledge, Role::kSequential},
+      {tree, 4, Coherence::kLocalKnowledge},
+      {find_benchmark("EM3D"), 4, Coherence::kLocalKnowledge},
+      {tree, 4, Coherence::kEagerGlobal},
+      {&wrong, 4, Coherence::kLocalKnowledge},
+      {find_benchmark("MST"), 4, Coherence::kEagerGlobal, Role::kMigrateOnly},
+      {tree, 1, Coherence::kEagerGlobal}};
+  std::vector<Cell> completing = cells;
+  completing.erase(completing.begin() + 2);
+  using Meta = std::map<std::string, std::string>;
+  const std::vector<std::pair<std::string, Meta>> runs = {
+      {"BENCH/TreeAdd/p=1/local/seq", {{"size", "tiny"}}},
+      {"BENCH/TreeAdd/p=4/local", {{"benchmark", "TreeAdd"}, {"size", "tiny"}}},
+      {"BENCH/TreeAdd/p=4/global",
+       {{"benchmark", "TreeAdd"}, {"size", "tiny"}}},
+      {"BENCH/WrongRef/p=4/local",
+       {{"benchmark", "WrongRef"}, {"size", "tiny"}}},
+      {"BENCH/MST/p=4/global/migrate-only", {{"size", "tiny"}}},
+      {"BENCH/TreeAdd/p=1/global", {{"size", "tiny"}}}};
+  expect_runner_matches_serial(
+      cells, completing, 20'000, tiny_config(&faults),
+      [&](test::StreamedObserver& obs, const std::vector<CellResult>& results) {
+        ASSERT_EQ(obs.runs().size(), runs.size());
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+          EXPECT_EQ(obs.runs()[i].label, runs[i].first);
+          EXPECT_EQ(obs.runs()[i].meta, runs[i].second) << runs[i].first;
+        }
+        ASSERT_EQ(results.size(), cells.size());
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+          const CellResult& r = results[i];
+          EXPECT_EQ(r.ok, i != 2 && i != 4) << i;
+          EXPECT_EQ(r.ran, i != 2) << i;
+          EXPECT_EQ(r.error.empty(), r.ok) << r.error;
+          if (r.ran) {
+            EXPECT_GT(r.run_ms, 0.0) << i;
+          }
+        }
+        EXPECT_EQ(results[2].error.rfind(
+                      "BENCH/EM3D/p=4/local failed: watchdog: ", 0),
+                  0u)
+            << results[2].error;
+        EXPECT_EQ(results[4].error.rfind(
+                      "BENCH/WrongRef/p=4/local checksum mismatch: got ", 0),
+                  0u)
+            << results[4].error;
+        EXPECT_EQ(results[4].reference, results[4].result.checksum + 1);
+      });
 }
 
 /// A healthy run, a truncated run, and a fault-injected run (which

@@ -172,7 +172,7 @@ def run_benchmark(bench_cell, analyze, name, nprocs, mode, timeout, tmpdir,
                 f"{run['label']}: critical path ({path['total_cycles']}"
                 f" cycles) != makespan ({run['makespan_cycles']})", 1)
         cells.append({
-            "benchmark": cfg["benchmark"],
+            "benchmark": name,
             "scheme": cfg["scheme"],
             "nprocs": cfg["nprocs"],
             "makespan_cycles": run["makespan_cycles"],

@@ -9,8 +9,8 @@ docs/OBSERVABILITY.md) and the arithmetic invariants the exporter
 promises: per-processor cycle buckets sum to the makespan, histogram
 bucket counts sum to the histogram count, event retention arithmetic is
 consistent, and the per-message-class fault decomposition sums exactly
-to the aggregate fault counters. Exits non-zero with a message on the
-first violation.
+to the aggregate fault counters. In either mode no JSON object may
+repeat a key. Exits non-zero with a message on the first violation.
 
 --diff validates `olden-analyze --diff --json` documents instead
 (diff_schema_version 1, documented in docs/ANALYSIS.md) and
@@ -78,6 +78,16 @@ class VersionError(Exception):
 def require(cond, msg):
     if not cond:
         raise SchemaError(msg)
+
+
+def unique_keys(pairs):
+    """json.load's object hook: a key given twice in one object is an error
+    (the parser would otherwise keep the last value silently)."""
+    obj = {}
+    for key, value in pairs:
+        require(key not in obj, f"key {key!r} repeated in one object")
+        obj[key] = value
+    return obj
 
 
 def check_counter(obj, key, ctx):
@@ -372,7 +382,7 @@ def main(argv):
     for path in args:
         try:
             with open(path, "r", encoding="utf-8") as f:
-                doc = json.load(f)
+                doc = json.load(f, object_pairs_hook=unique_keys)
             if mode == "diff":
                 n = check_diff_document(doc, path)
             else:

@@ -9,7 +9,8 @@ invariants. This test makes them meet on every tier-1 run: bench_cell
 writes a stats document for TreeAdd and EM3D at tiny size under the three
 coherence schemes on a lossy coherence wire, and the checker must accept it (exit
 0), refuse the same document relabelled as an older version (exit 2),
-and reject it with one breakdown bucket changed (exit 1). A flag the
+and reject it with one breakdown bucket changed (exit 1). A hand-written
+document that repeats a key is rejected too (exit 1). A flag the
 checker does not have, removed or misspelt, is a usage error (exit 2).
 
 Stdlib only; registered with ctest from tools/CMakeLists.txt.
@@ -78,6 +79,14 @@ class CheckStatsSchemaTest(unittest.TestCase):
         proc = self.check(self.write_copy("bucket.json", doc))
         self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
         self.assertIn("buckets sum to", proc.stderr)
+
+    def test_repeated_key_exits_1(self):
+        path = os.path.join(self.tmp.name, "repeated.json")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write('{"schema_version": 7, "schema_version": 7, "runs": []}')
+        proc = self.check(path)
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertIn("'schema_version' repeated", proc.stderr)
 
     def test_removed_mode_is_a_usage_error(self):
         proc = self.check("--profile", self.stats)
