@@ -129,7 +129,8 @@ int main(int argc, char** argv) {
   const auto runs = olden::bench::run_cells("ablation_costmodel", cells,
                                             obs.bench_config(), 1);
   bool all_ok = true;
-  for (const olden::bench::CellResult& r : runs) all_ok = all_ok && r.ok;
+  for (const auto& r : runs) all_ok = all_ok && r.ok;
+  if (!all_ok) std::printf("  (a cell failed; see stderr)\n");
   for (std::size_t i = 1; all_ok && i < runs.size(); ++i) {
     const olden::bench::BenchResult& r = runs[i].result;
     std::printf("  %-22s speedup %6.2f  (migrations %llu, misses %llu)\n",

@@ -120,15 +120,14 @@ int main(int argc, char** argv) {
 
   bool ok = true;
   run_cells("bench_cell", cells, base, jobs,
-            [&](std::size_t i, const CellResult& r) {
-              ok = ok && r.ok;
-              if (!r.ran) return;
+            [&](std::size_t i, const std::vector<CellResult>& runs) {
+              ok = ok && runs[i].ok;
+              if (!runs[i].ok) return;  // the runner named it on stderr
               std::printf(
-                  "%-12s %-9s p=%-2u makespan %12llu cycles  checksum %s\n",
+                  "%-12s %-9s p=%-2u makespan %12llu cycles  checksum ok\n",
                   cells[i].bench->name().c_str(), to_string(cells[i].scheme),
                   cells[i].nprocs,
-                  static_cast<unsigned long long>(r.result.total_cycles),
-                  r.result.checksum == r.reference ? "ok" : "MISMATCH");
+                  static_cast<unsigned long long>(runs[i].result.total_cycles));
             });
   if (!obs.finish()) ok = false;
   return ok ? 0 : 1;

@@ -13,11 +13,10 @@
 //   host_perf [--repeat=N] [--nprocs=N] [--benchmarks=A,B,...]
 //             [--schemes=A,B] [--jobs=N] [--json=FILE]
 //
-// --jobs=N times the cells on N host threads through the cell runner
-// (src/olden/bench/runner.hpp), one pass over them per repetition.
-// Per-cell wall times measured under a loaded pool are noisier than serial
-// ones — use --jobs for throughput (total suite wall-clock), --jobs=1 when
-// comparing per-cell numbers.
+// A cell's repetitions run back to back through the cell runner
+// (src/olden/bench/runner.hpp), on --jobs=N host threads. Per-cell times
+// under a loaded pool are noisier than serial ones — use --jobs for
+// throughput (total suite wall-clock), --jobs=1 for per-cell numbers.
 //
 // The JSON document is schema-versioned (host_bench_schema_version) and is
 // what tools/host_bench.py diffs against bench/baselines/HOST_seed.json.
@@ -105,24 +104,25 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "host_perf: %s\n", err.c_str());
     return 2;
   }
-  // `repeat` passes over the cells; each cell's best run is reported.
+  // Each cell's `repeat` runs are cells in a row; the best is reported.
+  std::vector<Cell> cells;
+  for (const Cell& c : specs) cells.insert(cells.end(), repeat, c);
+  bool ok = true;
   std::vector<double> best_ms(specs.size(), -1.0);
-  std::vector<CellResult> runs;
-  for (std::uint64_t pass = 0; pass < repeat; ++pass) {
-    runs = run_cells("host_perf", specs, {.tiny = true}, jobs);
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      if (!runs[i].ok) return 1;  // the runner named it on stderr
-      if (best_ms[i] < 0.0 || runs[i].run_ms < best_ms[i]) {
-        best_ms[i] = runs[i].run_ms;
-      }
-    }
-  }
   double total_best_ms = 0.0;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    std::printf("%-12s %-9s %8.2f ms\n", specs[i].bench->name().c_str(),
-                to_string(specs[i].scheme), best_ms[i]);
-    total_best_ms += best_ms[i];
-  }
+  const std::vector<CellResult> runs = run_cells(
+      "host_perf", cells, {.tiny = true}, jobs,
+      [&](std::size_t i, const std::vector<CellResult>& done) {
+        ok = ok && done[i].ok;  // the runner named a failed cell on stderr
+        double& best = best_ms[i / repeat];
+        if (best < 0.0 || done[i].run_ms < best) best = done[i].run_ms;
+        if (!ok || (i + 1) % repeat != 0) return;
+        std::printf("%-12s %-9s %8.2f ms\n", cells[i].bench->name().c_str(),
+                    to_string(cells[i].scheme), best);
+        std::fflush(stdout);
+        total_best_ms += best;
+      });
+  if (!ok) return 1;
   std::printf("%-12s %-9s %8.2f ms  (%zu cells, best of %" PRIu64
               ", p=%" PRIu64 ", tiny)\n",
               "TOTAL", "", total_best_ms, specs.size(), repeat, nprocs);
@@ -148,7 +148,8 @@ int main(int argc, char** argv) {
           buf, sizeof buf,
           "\", \"best_ms\": %.3f, \"makespan_cycles\": %llu}%s\n",
           best_ms[i],
-          static_cast<unsigned long long>(runs[i].result.total_cycles),
+          static_cast<unsigned long long>(
+              runs[i * repeat].result.total_cycles),
           i + 1 < specs.size() ? "," : "");
       doc += buf;
     }

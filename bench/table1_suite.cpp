@@ -19,19 +19,19 @@ int main(int argc, char** argv) {
   }
   std::vector<Cell> cells;
   for (const Benchmark* b : suite()) cells.push_back({b, 4});
-  const std::vector<CellResult> runs =
-      run_cells("table1_suite", cells, obs.bench_config(), 1);
   std::printf("Table 1: Benchmark Descriptions\n");
   std::printf("%-11s %-62s %-16s %s\n", "Benchmark", "Description",
               "Problem Size", "verified");
   bool all_ok = true;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
+  const auto print_row = [&](std::size_t i,
+                             const std::vector<CellResult>& runs) {
     const Benchmark* b = cells[i].bench;
     std::printf("%-11s %-62s %-16s %s\n", b->name().c_str(),
                 b->description().c_str(), b->problem_size(true).c_str(),
                 runs[i].ok ? "ok" : "FAILED");
     all_ok = all_ok && runs[i].ok;
-  }
+  };
+  run_cells("table1_suite", cells, obs.bench_config(), 1, print_row);
   const bool wrote = obs.finish();
   return wrote && all_ok ? 0 : 1;
 }

@@ -17,6 +17,7 @@
 #include "olden/bench/obs_cli.hpp"
 #include "olden/bench/runner.hpp"
 #include "olden/profile/feedback.hpp"
+#include "olden/support/io.hpp"
 
 namespace {
 
@@ -59,8 +60,7 @@ int main(int argc, char** argv) {
     std::string v;
     if (std::strcmp(argv[i], "--paper-size") == 0) {
       paper_size = true;
-    } else if (std::strncmp(argv[i], "--heuristic=", 12) == 0) {
-      v = argv[i] + 12;
+    } else if (flag_value(argv[i], "--heuristic", &v)) {
       std::string err;
       if (!profile::parse_heuristic_spec(v, &feedback, &use_feedback, &err)) {
         std::fprintf(stderr, "table2_speedups: --heuristic: %s\n",
@@ -88,8 +88,7 @@ int main(int argc, char** argv) {
       "%-11s %-4s %9s | %41s | %s\n", "Benchmark", "Mech", "Seq(s)",
       "speedup at P = 1     2     4     8    16    32", "Migrate-only(32)");
 
-  // Per benchmark: the sequential baseline, the plan at each P, and
-  // migrate-only at 32.
+  // Per benchmark: the sequential baseline, the plan at each P, migrate-only.
   const ProcId kProcs[6] = {1, 2, 4, 8, 16, 32};
   constexpr std::size_t kRow = 8;
   std::vector<Cell> cells;
@@ -101,27 +100,26 @@ int main(int argc, char** argv) {
   BenchConfig base = obs.bench_config();
   base.paper_size = paper_size;
   if (use_feedback) base.feedback = &feedback;
-  const std::vector<CellResult> runs =
-      run_cells("table2_speedups", cells, base, 1);
-
+  // Each benchmark's row prints once its last cell is merged.
   bool all_ok = true;
-  for (std::size_t row = 0; row < cells.size(); row += kRow) {
+  const auto print_row = [&](std::size_t i,
+                             const std::vector<CellResult>& runs) {
+    if (i % kRow != kRow - 1) return;
+    const std::size_t row = i + 1 - kRow;
     const Benchmark& b = *cells[row].bench;
     bool row_ok = true;
-    for (std::size_t i = row; i < row + kRow; ++i) {
-      row_ok = row_ok && runs[i].ok;
-    }
+    for (std::size_t c = row; c <= i; ++c) row_ok = row_ok && runs[c].ok;
     all_ok = all_ok && row_ok;
     const PaperRow& pr = kPaper.at(b.name());
     const double seq_s = timed_seconds(b, runs[row].result);
     if (!row_ok) {
-      std::printf("%-11s (a cell failed; see stderr)\n", b.name().c_str());
+      std::printf("%-11s (a cell failed; see stderr)", b.name().c_str());
     } else {
       const BenchResult& r32 = runs[row + 6].result;
       std::printf("%-11s %-4s %8.2fs |", b.name().c_str(),
                   r32.stats.remote_cacheable() == 0 ? "M" : "M+C", seq_s);
-      for (std::size_t i = 1; i <= 6; ++i) {
-        std::printf(" %5.2f", seq_s / timed_seconds(b, runs[row + i].result));
+      for (std::size_t c = 1; c <= 6; ++c) {
+        std::printf(" %5.2f", seq_s / timed_seconds(b, runs[row + c].result));
       }
       std::printf(" |");
       if (pr.migrate_only32 >= 0) {
@@ -131,12 +129,12 @@ int main(int argc, char** argv) {
       } else {
         std::printf("   n/a (M row)");
       }
-      std::printf("\n");
     }
-    std::printf("%-11s %-4s %8.2fs |", "  (paper)", "", pr.seq);
+    std::printf("\n%-11s %-4s %8.2fs |", "  (paper)", "", pr.seq);
     for (double v : pr.speedup) std::printf(" %5.2f", v);
     std::printf(" |\n");
-  }
+  };
+  run_cells("table2_speedups", cells, base, 1, print_row);
   std::printf(
       "\nShape checks: TreeAdd/Power scale best; MST degrades with P "
       "(O(N*P) synchronizing migrations); M+C rows beat their migrate-only "

@@ -72,26 +72,26 @@ int main(int argc, char** argv) {
   }
   BenchConfig base = obs.bench_config();
   base.paper_size = paper_size;
-  const std::vector<CellResult> runs =
-      run_cells("table3_coherence", cells, base, 1);
-
+  // Each benchmark's row prints once its last cell is merged.
   bool all_ok = true;
-  for (std::size_t row = 0; row < cells.size(); row += 3) {
-    const char* name = kMCBenchmarks[row / 3];
-    const bool row_ok = runs[row].ok && runs[row + 1].ok && runs[row + 2].ok;
+  const auto print_row = [&](std::size_t i,
+                             const std::vector<CellResult>& runs) {
+    if (i % 3 != 2) return;  // cells i - 2, i - 1 and i: the three schemes
+    const char* name = kMCBenchmarks[i / 3];
+    const bool row_ok = runs[i - 2].ok && runs[i - 1].ok && runs[i].ok;
     all_ok = all_ok && row_ok;
     if (!row_ok) {
       std::printf("%-11s | (a cell failed; see stderr)\n", name);
     } else {
       // The cacheable counts and pages cached are local knowledge's.
-      const MachineStats& local = runs[row].result.stats;
+      const MachineStats& local = runs[i - 2].result.stats;
       std::printf(
           "%-11s | %7.0f %5.2f | %7.0f %5.2f | %8.2f %8.2f %8.2f | %10llu\n",
           name, local.cacheable_writes / 1000.0,
           local.percent_writes_remote(), local.cacheable_reads / 1000.0,
           local.percent_reads_remote(), local.remote_miss_percent(),
-          runs[row + 1].result.stats.remote_miss_percent(),
-          runs[row + 2].result.stats.remote_miss_percent(),
+          runs[i - 1].result.stats.remote_miss_percent(),
+          runs[i].result.stats.remote_miss_percent(),
           static_cast<unsigned long long>(local.pages_cached));
     }
     const PaperRow& pr = kPaper.at(name);
@@ -99,7 +99,8 @@ int main(int argc, char** argv) {
         "%-11s | %7.0f %5.2f | %7.0f %5.2f | %8.2f %8.2f %8.2f | %10u\n",
         "  (paper)", pr.writes_k, pr.writes_pct, pr.reads_k, pr.reads_pct,
         pr.miss_local, pr.miss_global, pr.miss_bilateral, pr.pages);
-  }
+  };
+  run_cells("table3_coherence", cells, base, 1, print_row);
   std::printf(
       "\nShape checks: the global scheme never misses more than local "
       "(line-precise invalidations); bilateral sits near local; Health's "

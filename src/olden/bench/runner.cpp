@@ -80,119 +80,20 @@ void run_one(const Cell& c, const BenchConfig& cfg, CellResult* out) try {
   out->run_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
-  out->ran = true;
-  out->reference = c.bench->reference_checksum(cfg);
-  out->ok = out->result.checksum == out->reference;
+  const std::uint64_t want = c.bench->reference_checksum(cfg);
+  out->ok = out->result.checksum == want;
   if (!out->ok) {
     out->error = cell_label(c) + " checksum mismatch: got " +
                  std::to_string(out->result.checksum) + ", want " +
-                 std::to_string(out->reference);
+                 std::to_string(want);
   }
 } catch (const std::exception& e) {
   out->error = cell_label(c) + " failed: " + e.what();
 }
 
-}  // namespace
-
-std::vector<CellResult> run_cells(const char* prog,
-                                  const std::vector<Cell>& cells,
-                                  const BenchConfig& base, std::size_t jobs,
-                                  const CellDone& done) {
-  const std::size_t n = cells.size();
-  jobs = std::min(jobs, n);
-  trace::Observer* const main = base.observer;
-  trace::StreamingTraceSink* const sink = main ? main->sink() : nullptr;
-  const auto cell_path = [&](std::size_t i) {
-    return sink != nullptr ? sink->path() + ".cell" + std::to_string(i) : "";
-  };
-  std::vector<CellResult> results(n);
-  std::vector<BenchConfig> cfgs(n);
-  std::vector<std::optional<trace::Observer>> recs(n);
-  // A trace that did not write or merge fails a cell that had not failed.
-  const auto trace_failed = [&](std::size_t i, const std::string& err) {
-    if (results[i].error.empty()) {
-      results[i].ok = false;
-      results[i].error = cell_label(cells[i]) + ": " + err;
-    }
-  };
-  // Cell i's config and observer, set on the calling thread, recording
-  // from the budget main has left.
-  const auto prepare = [&](std::size_t i) {
-    cfgs[i] = cell_config(cells[i], base);
-    if (main == nullptr) return;
-    trace::Observer& rec = recs[i].emplace();
-    rec.set_trace_enabled(main->trace_enabled());
-    rec.set_event_limit(main->events_left());
-    if (main->profile_enabled()) rec.enable_profile();
-    rec.begin_run(cell_label(cells[i]), cell_meta(cells[i], base));
-    cfgs[i].observer = &rec;
-  };
-
-  // Worker w runs cells w, w + jobs, ...: cell i once cell i - jobs is
-  // merged. `mu` guards the three below; in between, the worker owns its
-  // cell's result and observer. (A thread per cell let glibc return each
-  // cell's memory at thread exit: Table 3 took 7x the page faults.)
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t merged = 0;
-  bool stop = false;
-  std::vector<char> ran(n, 0);
-  const auto work = [&](std::size_t w) {
-    for (std::size_t i = w; i < n; i += jobs) {
-      {
-        std::unique_lock lock(mu);
-        cv.wait(lock, [&] { return stop || i < merged + jobs; });
-        if (stop) return;
-      }
-      // The cell's file lives only while the cell runs.
-      std::optional<trace::StreamingTraceSink> file;
-      if (sink != nullptr) recs[i]->set_sink(&file.emplace(cell_path(i)));
-      run_one(cells[i], cfgs[i], &results[i]);
-      std::string err;
-      if (file && !file->finalize(&err)) trace_failed(i, err);
-      std::lock_guard lock(mu);
-      ran[i] = 1;
-      cv.notify_all();
-    }
-  };
-  std::vector<std::thread> pool;
-  try {
-    for (std::size_t w = 0; w < jobs; ++w) {
-      prepare(w);
-      pool.emplace_back(work, w);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      std::unique_lock lock(mu);
-      cv.wait(lock, [&] { return ran[i] != 0; });
-      lock.unlock();
-      std::string err;
-      if (main != nullptr && !adopt_cell(*main, *recs[i], cell_path(i), &err)) {
-        trace_failed(i, err);
-      }
-      recs[i].reset();
-      if (i + jobs < n) prepare(i + jobs);
-      lock.lock();
-      merged = i + 1;
-      lock.unlock();
-      cv.notify_all();
-      if (!results[i].ok) {
-        std::fprintf(stderr, "%s: %s\n", prog, results[i].error.c_str());
-      }
-      if (done) done(i, results[i]);
-    }
-  } catch (...) {
-    {
-      std::lock_guard lock(mu);  // release the workers waiting on `merged`
-      stop = true;
-    }
-    cv.notify_all();
-    for (std::thread& t : pool) t.join();
-    throw;
-  }
-  for (std::thread& t : pool) t.join();
-  return results;
-}
-
+/// Adopts a cell's runs into `main`, re-applying the retention limit;
+/// with a sink, copies the events each keeps from `cell_path` one read
+/// batch at a time and removes the file. False if it does not read back.
 bool adopt_cell(trace::Observer& main, trace::Observer& cell,
                 const std::string& cell_path, std::string* err) {
   // One read batch of the cell file is all the copy holds.
@@ -218,6 +119,112 @@ bool adopt_cell(trace::Observer& main, trace::Observer& cell,
     *err = cell_path + ": holds fewer events than its cell streamed";
   }
   return ok;
+}
+
+}  // namespace
+
+std::vector<CellResult> run_cells(const char* prog,
+                                  const std::vector<Cell>& cells,
+                                  const BenchConfig& base, std::size_t jobs,
+                                  const CellDone& done) {
+  const std::size_t n = cells.size();
+  jobs = std::min(jobs, n);
+  trace::Observer* const main = base.observer;
+  trace::StreamingTraceSink* const sink = main ? main->sink() : nullptr;
+  const auto cell_path = [&](std::size_t i) {
+    return sink != nullptr ? sink->path() + ".cell" + std::to_string(i) : "";
+  };
+  std::vector<CellResult> results(n);
+  std::vector<BenchConfig> cfgs(n);
+  std::vector<std::optional<trace::Observer>> recs(n);
+  // A trace that did not write or merge fails a cell that had not failed.
+  const auto trace_failed = [&](std::size_t i, const std::string& err) {
+    if (!results[i].error.empty()) return;
+    results[i].ok = false;
+    results[i].error = cell_label(cells[i]) + ": " + err;
+  };
+  // Cell i's config and observer, set on the calling thread, recording
+  // from the budget main has left.
+  const auto prepare = [&](std::size_t i) {
+    cfgs[i] = cell_config(cells[i], base);
+    if (main == nullptr) return;
+    trace::Observer& rec = recs[i].emplace();
+    rec.set_trace_enabled(main->trace_enabled());
+    rec.set_event_limit(main->events_left());
+    if (main->profile_enabled()) rec.enable_profile();
+    rec.begin_run(cell_label(cells[i]), cell_meta(cells[i], base));
+    cfgs[i].observer = &rec;
+  };
+
+  // An observed cell starts once the cell `jobs` places before it is
+  // merged, so at most `jobs` cell files exist at once; an unobserved one
+  // as soon as a worker is free. Workers claim cells in order and live
+  // across cells (a thread per cell let glibc return each cell's memory at
+  // thread exit: Table 3 took 7x the page faults). `mu` guards the four
+  // below; in between, a worker owns its cell's result and observer.
+  const std::size_t window = main != nullptr ? jobs : n;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t claimed = 0;
+  std::size_t merged = 0;
+  bool stop = false;
+  std::vector<char> ran(n, 0);
+  const auto run = [&](std::size_t i) {
+    // The cell's file lives only while the cell runs.
+    std::optional<trace::StreamingTraceSink> file;
+    if (sink != nullptr) recs[i]->set_sink(&file.emplace(cell_path(i)));
+    run_one(cells[i], cfgs[i], &results[i]);
+    std::string err;
+    if (file && !file->finalize(&err)) trace_failed(i, err);
+  };
+  const auto work = [&] {
+    std::unique_lock lock(mu);
+    for (std::size_t i = claimed++; i < n && !stop; i = claimed++) {
+      cv.wait(lock, [&] { return stop || i < merged + window; });
+      if (stop) return;
+      lock.unlock();
+      run(i);
+      lock.lock();
+      ran[i] = 1;
+      cv.notify_all();
+    }
+  };
+  std::vector<std::thread> pool;
+  try {
+    for (std::size_t i = 0; i < window; ++i) prepare(i);
+    // At one job the calling thread runs each cell before merging it: a
+    // worker's malloc arena took the traced tiny suite from 24.6 to 27.3 MB.
+    for (std::size_t w = 0; jobs > 1 && w < jobs; ++w) pool.emplace_back(work);
+    std::unique_lock lock(mu);
+    for (std::size_t i = 0; i < n; ++i) {
+      cv.wait(lock, [&] { return pool.empty() || ran[i] != 0; });
+      lock.unlock();
+      if (pool.empty()) run(i);
+      std::string err;
+      if (main != nullptr && !adopt_cell(*main, *recs[i], cell_path(i), &err)) {
+        trace_failed(i, err);
+      }
+      recs[i].reset();
+      if (i + window < n) prepare(i + window);
+      if (!results[i].ok) {
+        std::fprintf(stderr, "%s: %s\n", prog, results[i].error.c_str());
+      }
+      if (done) done(i, results);
+      lock.lock();
+      merged = i + 1;
+      cv.notify_all();
+    }
+  } catch (...) {
+    {
+      std::lock_guard lock(mu);  // release the workers waiting on `merged`
+      stop = true;
+    }
+    cv.notify_all();
+    for (std::thread& t : pool) t.join();
+    throw;
+  }
+  for (std::thread& t : pool) t.join();
+  return results;
 }
 
 }  // namespace olden::bench

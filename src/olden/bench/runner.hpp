@@ -3,13 +3,14 @@
 // cells, and it alone labels each cell's run, sets its meta, checks its
 // checksum against the host reference, catches its exception and times it.
 //
-// Cells run on `jobs` host threads, each recording into an Observer of its
-// own that with --trace-bin=F streams to F.cell<i>. The calling thread
-// merges them into the main observer in cell order (adopt_cell), so every
-// output is byte-identical at every job count. A cell starts once the cell
-// `jobs` places before it is merged, so at most `jobs` cell files exist at
-// once, and from the retention budget the merged cells left: exact at one
-// job, and re-applied at merge time to cells that ran ahead.
+// Cells run on `jobs` host threads (at one job, the calling thread), each
+// recording into an Observer of its own that with --trace-bin=F streams to
+// F.cell<i>; the calling thread merges them in cell order, so every output
+// is byte-identical at every job count. An observed cell starts once the
+// cell `jobs` places before it is merged (so at most `jobs` cell files
+// exist at once) from the retention budget the merged cells left: exact at
+// one job, re-applied at merge to cells that ran ahead. An unobserved cell
+// starts as soon as a thread is free.
 #pragma once
 
 #include <cstddef>
@@ -45,16 +46,16 @@ bool grid_cells(const std::string& benchmarks, const std::string& schemes,
                 ProcId nprocs, std::vector<Cell>* out, std::string* err);
 
 struct CellResult {
-  bool ran = false;             ///< run() returned rather than threw
-  bool ok = false;              ///< ran, matched the reference, and merged
-  BenchResult result;           ///< valid when `ran`
-  std::uint64_t reference = 0;  ///< the host reference's checksum
-  double run_ms = 0.0;          ///< host wall time of run()
-  std::string error;  ///< why the cell failed, naming it by its label
+  bool ok = false;      ///< run() returned, matched the reference, merged
+  BenchResult result;   ///< what run() returned, if it did
+  double run_ms = 0.0;  ///< host wall time of run(); 0 if it threw
+  std::string error;    ///< why the cell failed, naming it by its label
 };
 
-/// Called on the calling thread, in cell order, as each cell is merged.
-using CellDone = std::function<void(std::size_t, const CellResult&)>;
+/// Called on the calling thread, in cell order, as cell i is merged;
+/// results[0..i] are final.
+using CellDone =
+    std::function<void(std::size_t i, const std::vector<CellResult>& results)>;
 
 /// Runs `cells` on `jobs` host threads under `base` (size, seed, faults,
 /// and feedback, which only a plan takes), recording into `base.observer`
@@ -67,14 +68,5 @@ std::vector<CellResult> run_cells(const char* prog,
                                   const std::vector<Cell>& cells,
                                   const BenchConfig& base, std::size_t jobs,
                                   const CellDone& done = {});
-
-/// Merges one cell: `cell` recorded like `main` and, when `main` has a
-/// sink, streamed to `cell_path`. Adopts its runs into `main` in order
-/// (Observer::adopt_runs_from re-applies the retention limit), copies the
-/// events each keeps from the file into main's sink one read batch at a
-/// time, and removes the file. False, with *err set, if the file does not
-/// read back.
-bool adopt_cell(trace::Observer& main, trace::Observer& cell,
-                const std::string& cell_path, std::string* err);
 
 }  // namespace olden::bench

@@ -7,8 +7,7 @@
 // cause. That invariant is held here across benchmarks x scheme pairs,
 // with and without fault injection, and through the top-N/other rollup.
 // The rendered documents are pinned, and byte-identical across repeats
-// and when the traces were produced by the host-parallel per-cell merge
-// (bench::adopt_cell) instead of serially.
+// and across the cell runner's job counts (bench::run_cells).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -242,13 +241,14 @@ TEST(Diff, RetryAttributionSplitsByMessageClass) {
   EXPECT_NE(human.find("fill"), std::string::npos) << human;
 }
 
-/// Determinism: the same workload pair diffed twice — and diffed from
-/// traces produced by the host-parallel per-cell merge instead of
-/// serially — yields byte-identical documents.
+/// Determinism: the same workload pair diffed twice, and diffed from
+/// traces the cell runner merged at one job and at four, yields
+/// byte-identical documents. (CellRunner holds those traces to the cells
+/// streamed serially.)
 TEST(Diff, OutputBytesInvariantAcrossRepeatsAndTraceProduction) {
-  const std::vector<std::pair<std::string, Coherence>> cells = {
-      {"TreeAdd", Coherence::kLocalKnowledge},
-      {"TreeAdd", Coherence::kEagerGlobal}};
+  const Benchmark* tree = find_benchmark("TreeAdd");
+  const std::vector<Cell> cells = {{tree, 4, Coherence::kLocalKnowledge},
+                                   {tree, 4, Coherence::kEagerGlobal}};
 
   fault::FaultSpec spec;
   {
@@ -256,8 +256,19 @@ TEST(Diff, OutputBytesInvariantAcrossRepeatsAndTraceProduction) {
     ASSERT_TRUE(fault::parse_fault_spec("drop=0.05,delay=0.1:800", &spec, &err))
         << err;
   }
-  // Diffs runs 0 -> 1 and 1 -> 2 of `obs`: both documents and tables.
-  const auto diff_documents = [](test::StreamedObserver& obs) {
+  // Runs `cells` and, under `spec`, the global cell again through the
+  // runner at `jobs` (deterministic replay of the fault plane is part of
+  // the byte-identity promise), and diffs runs 0 -> 1 and 1 -> 2: both
+  // documents and tables.
+  const auto diff_documents = [&](std::size_t jobs) {
+    test::StreamedObserver obs;
+    BenchConfig cfg;
+    cfg.tiny = true;
+    cfg.observer = &obs;
+    std::vector<CellResult> results = run_cells("diff", cells, cfg, jobs);
+    cfg.faults = &spec;
+    results.push_back(run_cells("diff", {cells[1]}, cfg, jobs)[0]);
+    for (const CellResult& r : results) EXPECT_TRUE(r.ok) << r.error;
     const std::vector<analyze::DiffProfile> p = profiles_of(obs);
     EXPECT_EQ(p.size(), 3u);
     if (p.size() != 3) return std::string{};
@@ -269,33 +280,9 @@ TEST(Diff, OutputBytesInvariantAcrossRepeatsAndTraceProduction) {
     return analyze::json_diff({rep, faulty}) + analyze::human_diff(rep) +
            analyze::human_diff(faulty);
   };
-  auto diff_json_serial = [&]() {
-    test::StreamedObserver obs;
-    for (const auto& [name, scheme] : cells) run_cell(obs, name, scheme);
-    // A fault-injected third run: deterministic replay of the fault plane
-    // is part of the byte-identity promise.
-    run_cell(obs, "TreeAdd", Coherence::kEagerGlobal, &spec);
-    return diff_documents(obs);
-  };
-  const std::string first = diff_json_serial();
-  const std::string second = diff_json_serial();
-  EXPECT_EQ(first, second);
-
-  // The --jobs production path: each cell streams to a file of its own
-  // through a private observer, and adopt_cell copies the files into the
-  // main trace. Trace bytes are documented identical, so the diff must be
-  // too.
-  test::StreamedObserver main_obs;
-  const auto merge = [&](const std::string& name, Coherence scheme,
-                         const fault::FaultSpec* faults) {
-    test::StreamedObserver worker;
-    run_cell(worker, name, scheme, faults);
-    std::string err;
-    EXPECT_TRUE(adopt_cell(main_obs, worker, worker.path(), &err)) << err;
-  };
-  for (const auto& [name, scheme] : cells) merge(name, scheme, nullptr);
-  merge("TreeAdd", Coherence::kEagerGlobal, &spec);
-  EXPECT_EQ(diff_documents(main_obs), first);
+  const std::string first = diff_documents(1);
+  EXPECT_EQ(diff_documents(1), first);
+  EXPECT_EQ(diff_documents(4), first);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "olden/bench/benchmark.hpp"
 #include "olden/bench/runner.hpp"
@@ -124,24 +125,23 @@ TEST(ProfileDeterminism, AdoptedWorkerProfilesMatchSerial) {
     (void)b->run(cfg);
   }
 
-  // The bench_cell --jobs pattern: private observers, merged in cell order.
-  trace::Observer main_obs;
-  trace::Observer workers[2];
-  for (int i = 0; i < 2; ++i) {
-    workers[i].enable_profile();
-    workers[i].begin_run(labels[i], {{"benchmark", b->name()}});
-    BenchConfig cfg{.nprocs = 8, .scheme = schemes[i]};
+  // The cell runner at one job and at four: private observers, merged in
+  // cell order.
+  const std::vector<bench::Cell> cells = {{b, 8, schemes[0]},
+                                          {b, 8, schemes[1]}};
+  for (const std::size_t jobs : {1, 4}) {
+    trace::Observer main_obs;
+    main_obs.enable_profile();
+    BenchConfig cfg;
     cfg.tiny = true;
-    cfg.observer = &workers[i];
-    (void)b->run(cfg);
+    cfg.observer = &main_obs;
+    const std::vector<bench::CellResult> results =
+        bench::run_cells("profile", cells, cfg, jobs);
+    for (const bench::CellResult& r : results) EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(profile::feedback_from_profile(main_obs.runs()),
+              profile::feedback_from_profile(serial.runs()))
+        << "jobs " << jobs;
   }
-  for (trace::Observer& worker : workers) {
-    std::string err;
-    EXPECT_TRUE(bench::adopt_cell(main_obs, worker, "", &err)) << err;
-  }
-
-  EXPECT_EQ(profile::feedback_from_profile(main_obs.runs()),
-            profile::feedback_from_profile(serial.runs()));
 }
 
 // --- site counts against the machine --------------------------------------

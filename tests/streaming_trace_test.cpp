@@ -145,7 +145,8 @@ void expect_runner_matches_serial(
       };
       std::size_t merged = 0;
       const std::vector<CellResult> results = run_cells(
-          "runner", cells, cfg, jobs, [&](std::size_t i, const CellResult&) {
+          "runner", cells, cfg, jobs,
+          [&](std::size_t i, const std::vector<CellResult>&) {
             EXPECT_EQ(i, merged++);
             EXPECT_LE(cell_files(), jobs);
           });
@@ -316,7 +317,8 @@ TEST(CellMerge, FailedCellAddsNothingAndLeavesNoFile) {
       {tree, em3d, mst}, {tree, mst}, 3'000, tiny_config(&faults),
       [](test::StreamedObserver&, const std::vector<CellResult>& results) {
         EXPECT_TRUE(results[0].ok && results[2].ok);
-        EXPECT_FALSE(results[1].ran || results[1].ok);
+        EXPECT_FALSE(results[1].ok);
+        EXPECT_EQ(results[1].run_ms, 0.0);
       });
 }
 
@@ -387,22 +389,53 @@ TEST(CellRunner, LabelsValidatesAndFailsCellsAlone) {
         for (std::size_t i = 0; i < cells.size(); ++i) {
           const CellResult& r = results[i];
           EXPECT_EQ(r.ok, i != 2 && i != 4) << i;
-          EXPECT_EQ(r.ran, i != 2) << i;
+          EXPECT_EQ(r.run_ms > 0.0, i != 2) << i;  // EM3D's run() threw
           EXPECT_EQ(r.error.empty(), r.ok) << r.error;
-          if (r.ran) {
-            EXPECT_GT(r.run_ms, 0.0) << i;
-          }
         }
         EXPECT_EQ(results[2].error.rfind(
                       "BENCH/EM3D/p=4/local failed: watchdog: ", 0),
                   0u)
             << results[2].error;
-        EXPECT_EQ(results[4].error.rfind(
-                      "BENCH/WrongRef/p=4/local checksum mismatch: got ", 0),
-                  0u)
-            << results[4].error;
-        EXPECT_EQ(results[4].reference, results[4].result.checksum + 1);
+        const std::uint64_t got = results[4].result.checksum;
+        EXPECT_EQ(results[4].error,
+                  "BENCH/WrongRef/p=4/local checksum mismatch: got " +
+                      std::to_string(got) + ", want " +
+                      std::to_string(got + 1));
       });
+}
+
+/// Unobserved cells start as soon as a thread is free, yet reach `done`
+/// in cell order with the results and failures of one job.
+TEST(CellRunner, UnobservedCellsRunFreelyAndMergeInOrder) {
+  const fault::FaultSpec faults = lost_fills();
+  const Benchmark* tree = find_benchmark("TreeAdd");
+  const std::vector<Cell> cells = {
+      {find_benchmark("EM3D"), 4},
+      {tree, 4},
+      {tree, 1, Coherence::kLocalKnowledge, Role::kSequential},
+      {find_benchmark("MST"), 4, Coherence::kBilateral},
+      {tree, 8, Coherence::kEagerGlobal}};
+  std::vector<std::uint64_t> serial;
+  for (const std::size_t jobs : {1, 4}) {
+    std::size_t merged = 0;
+    const std::vector<CellResult> results = run_cells(
+        "runner", cells, tiny_config(&faults), jobs,
+        [&](std::size_t i, const std::vector<CellResult>&) {
+          EXPECT_EQ(i, merged++);
+        });
+    ASSERT_EQ(merged, cells.size());
+    EXPECT_EQ(results[0].error.rfind(
+                  "BENCH/EM3D/p=4/local failed: watchdog: ", 0),
+              0u)
+        << results[0].error;
+    std::vector<std::uint64_t> makespans;
+    for (std::size_t i = 1; i < cells.size(); ++i) {
+      EXPECT_TRUE(results[i].ok) << results[i].error;
+      makespans.push_back(results[i].result.total_cycles);
+    }
+    if (jobs == 1) serial = makespans;
+    EXPECT_EQ(makespans, serial) << "jobs " << jobs;
+  }
 }
 
 /// A healthy run, a truncated run, and a fault-injected run (which
