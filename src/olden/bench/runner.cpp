@@ -73,14 +73,25 @@ std::map<std::string, std::string> cell_meta(const Cell& c,
   return meta;
 }
 
+/// A benchmark's host reference, computed by the first of its cells to
+/// need it. A reference reads only the size and seed, which every cell of
+/// a run_cells call shares (SuiteShape.ReferenceReadsOnlySizeAndSeed).
+struct Reference {
+  std::once_flag once;
+  std::uint64_t checksum = 0;
+};
+
 /// Runs and validates one cell; a throw (a watchdog trip, say) fails it.
-void run_one(const Cell& c, const BenchConfig& cfg, CellResult* out) try {
+void run_one(const Cell& c, const BenchConfig& cfg, Reference& ref,
+             CellResult* out) try {
   const auto t0 = std::chrono::steady_clock::now();
   out->result = c.bench->run(cfg);
   out->run_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
-  const std::uint64_t want = c.bench->reference_checksum(cfg);
+  std::call_once(ref.once,
+                 [&] { ref.checksum = c.bench->reference_checksum(cfg); });
+  const std::uint64_t want = ref.checksum;
   out->ok = out->result.checksum == want;
   if (!out->ok) {
     out->error = cell_label(c) + " checksum mismatch: got " +
@@ -137,6 +148,8 @@ std::vector<CellResult> run_cells(const char* prog,
   std::vector<CellResult> results(n);
   std::vector<BenchConfig> cfgs(n);
   std::vector<std::optional<trace::Observer>> recs(n);
+  std::map<const Benchmark*, Reference> refs;  // filled before any worker
+  for (const Cell& c : cells) refs.try_emplace(c.bench);
   // A trace that did not write or merge fails a cell that had not failed.
   const auto trace_failed = [&](std::size_t i, const std::string& err) {
     if (!results[i].error.empty()) return;
@@ -173,7 +186,7 @@ std::vector<CellResult> run_cells(const char* prog,
     // The cell's file lives only while the cell runs.
     std::optional<trace::StreamingTraceSink> file;
     if (sink != nullptr) recs[i]->set_sink(&file.emplace(cell_path(i)));
-    run_one(cells[i], cfgs[i], &results[i]);
+    run_one(cells[i], cfgs[i], refs.at(cells[i].bench), &results[i]);
     std::string err;
     if (file && !file->finalize(&err)) trace_failed(i, err);
   };

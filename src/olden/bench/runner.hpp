@@ -62,7 +62,8 @@ using CellDone =
 /// (null: unobserved). Each run is labelled "BENCH/<name>/p=<N>/<scheme>",
 /// plus "/seq" or "/migrate-only", and its meta holds `size`, and
 /// `benchmark` (what --profile grades by) only on a plan at p > 1. Each
-/// failed cell's error goes to stderr as "<prog>: <error>" as it is
+/// benchmark's host reference is computed once, by its first cell to end.
+/// Each failed cell's error goes to stderr as "<prog>: <error>" as it is
 /// merged, before `done` sees it.
 std::vector<CellResult> run_cells(const char* prog,
                                   const std::vector<Cell>& cells,

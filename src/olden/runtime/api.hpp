@@ -31,7 +31,7 @@ struct ReadAwaiter {
   bool migrated = false;
 
   bool await_ready() {
-    return Machine::current().access(addr, &value, sizeof(T), false, site);
+    return Machine::current().access(addr, &value, false, site);
   }
   void await_suspend(std::coroutine_handle<> h) {
     migrated = true;
@@ -53,7 +53,7 @@ struct WriteAwaiter {
   bool migrated = false;
 
   bool await_ready() {
-    return Machine::current().access(addr, &value, sizeof(T), true, site);
+    return Machine::current().access(addr, &value, true, site);
   }
   void await_suspend(std::coroutine_handle<> h) {
     migrated = true;

@@ -11,11 +11,6 @@ namespace olden {
 using trace::CycleBucket;
 using trace::EventKind;
 
-// thread_local so independent Machines can run on separate host threads
-// (bench_cell/host_perf --jobs); the save/restore pair in the ctor/dtor
-// still supports nested Machines within one thread.
-thread_local Machine* Machine::current_ = nullptr;
-
 #if !OLDEN_SYMMETRIC_TRANSFER
 // See the header comment on current(): noinline keeps the TLS address
 // computation out of coroutine frames in sanitized builds.
@@ -50,22 +45,24 @@ Machine::Machine(RunConfig cfg)
 }
 
 Machine::~Machine() {
-  // Free every cell still registered: zombies pinned by work-list deques,
-  // resolved-but-never-touched cells, and (under fault injection + watchdog
-  // abort) unresolved cells whose body coroutine never finished.
-  for (FutureCell* cell : cells_) {
-    if (cell->body) cell->body.destroy();
-    delete cell;
+  // A touch destroys its cell's body, so a body still held belongs to a
+  // cell resolved but never touched, or (under fault injection + watchdog
+  // abort) to one whose body never finished.
+  for (FutureCell& cell : cells_) {
+    if (cell.body) cell.body.destroy();
   }
-  cells_.clear();
-  for (FutureCell* cell : cell_pool_) delete cell;
-  cell_pool_.clear();
   current_ = prev_machine_;
   detail::FramePool::machine_closed();  // after the cell bodies above
 }
 
 [[gnu::noinline]] void Machine::account(ProcId p, Cycles c, CycleBucket b) {
   obs_->account(p, c, b);
+}
+
+[[gnu::noinline]] void Machine::note_hit(ProcId p, std::uint32_t page_id,
+                                         SiteId site) {
+  obs_->touch_page(p, page_id);
+  note_event(EventKind::kCacheHit, p, cur_thread_, site, page_id);
 }
 
 GlobalAddr Machine::alloc_raw(ProcId home, std::uint32_t size,
@@ -103,7 +100,7 @@ void Machine::finish_access_local(GlobalAddr a, void* buf, std::uint32_t size,
 // ---------------------------------------------------------------------------
 // The chunk loop
 //
-// Every cached access the inline fast path declines runs here, one chunk
+// Every cached access access() does not finish inline runs here, one chunk
 // (the part of the access inside one line) at a time. A chunk needs at
 // most two round trips to the line's home: a bilateral timestamp check
 // when its page is suspect, and a line fill on a read miss. Each is the
@@ -392,7 +389,7 @@ std::coroutine_handle<> Machine::on_task_final(std::coroutine_handle<> cont,
   if (cell != nullptr) {
     // A future body finished.
     if (t->proc == cell->home) {
-      if (!cell->item.taken) {
+      if (!cell->taken) {
         // Lazy task creation pay-off: nothing migrated the body away from
         // this processor for long enough for the continuation to be
         // stolen — pop it and continue as the same thread, directly. The
@@ -403,9 +400,9 @@ std::coroutine_handle<> Machine::on_task_final(std::coroutine_handle<> cont,
         cell->obs_resolve_event = note_event(
             EventKind::kFutureResolve, t->proc, t, trace::kNoSite,
             cell->serial, 0);
-        cell->item.taken = true;
+        cell->taken = true;
         ++stats_.futures_inlined;
-        return transfer_to(cell->item.cont);
+        return transfer_to(cell->cont);
       }
       // The body ran as its own thread (the continuation was stolen) and
       // retires here. Resolution is a release point: the waiter may be on
@@ -487,28 +484,31 @@ std::coroutine_handle<> Machine::on_task_final(std::coroutine_handle<> cont,
 FutureCell* Machine::make_future_cell(std::coroutine_handle<> caller_cont,
                                       std::coroutine_handle<> body) {
   ++stats_.futurecalls;
-  charge(cfg_.costs.future_call, CycleBucket::kCompute);
+  const ProcId p = cur_proc();
+  charge_to(p, cfg_.costs.future_call, CycleBucket::kCompute);
   FutureCell* cell;
-  if (cell_pool_.empty()) {
-    cell = new FutureCell;
+  if (free_cells_.empty()) {
+    cell = &cells_.emplace_back();
   } else {
-    cell = cell_pool_.back();
-    cell_pool_.pop_back();
-    *cell = FutureCell{};  // reset a recycled cell to pristine state
+    cell = free_cells_.back();
+    free_cells_.pop_back();
   }
-  cell->home = cur_proc();
+  // Field by field, what a lifecycle reads before it writes: the waiter
+  // is null again once woken, and the rest is written at resolution.
+  cell->home = p;
+  cell->resolved = false;
+  cell->taken = false;
+  cell->resolved_remotely = false;
   cell->serial = stats_.futurecalls;
   cell->body = body;
-  cell->item = WorkItem{caller_cont, cell, false, true};
-  cell->registry_slot = cells_.size();
-  cells_.push_back(cell);
-  procs_[cur_proc()].worklist.push_back(&cell->item);
+  cell->cont = caller_cont;
   ++cells_live_;
-  cell->obs_create_event = note_event(EventKind::kFutureCreate, cur_proc(),
+  std::deque<WorkItem>& worklist = procs_[p].worklist;
+  worklist.push_back({cell, cell->serial});
+  cell->obs_create_event = note_event(EventKind::kFutureCreate, p,
                                       cur_thread_, trace::kNoSite, cell->serial);
   if (obs_ != nullptr) {
-    obs_->record(trace::Hist::kWorklistDepth,
-                 procs_[cur_proc()].worklist.size());
+    obs_->record(trace::Hist::kWorklistDepth, worklist.size());
   }
   return cell;
 }
@@ -548,41 +548,26 @@ void Machine::destroy_cell(FutureCell* cell) {
   cell->body.destroy();
   cell->body = nullptr;
   --cells_live_;
-  if (cell->item.in_worklist) {
-    cell->zombie = true;  // the work-list pop frees it
-  } else {
-    free_cell(cell);
-  }
-}
-
-void Machine::free_cell(FutureCell* cell) {
-  FutureCell* moved = cells_.back();
-  cells_[cell->registry_slot] = moved;
-  moved->registry_slot = cell->registry_slot;
-  cells_.pop_back();
-  cell_pool_.push_back(cell);  // recycle: one futurecall, zero steady-state news
-}
-
-void Machine::unlink_item(WorkItem* w) {
-  w->in_worklist = false;
-  if (w->cell->zombie) free_cell(w->cell);
+  // Resolved implies taken, so a work-list entry still naming the cell is
+  // stale now and stays stale once the cell is reused (new serial).
+  free_cells_.push_back(cell);
 }
 
 void Machine::resolve_future_at_home(FutureCell* cell) {
   const ProcId home = cell->home;
   charge_to(home, cfg_.costs.remote_handler, CycleBucket::kMigration);
   cell->resolved = true;
-  if (!cell->item.taken) {
+  if (!cell->taken) {
     // The continuation was never stolen (the processor had other work the
     // whole time); the resolution makes it runnable as a fresh thread.
-    cell->item.taken = true;
+    cell->taken = true;
     ThreadState* nt = new_thread(home);
     ++stats_.futures_stolen;
     // The steal exists because the resolution message arrived.
     nt->obs_next_parent = cell->obs_resolve_event;
     note_event(EventKind::kFutureSteal, home, nt, trace::kNoSite,
                cell->serial, 1);
-    push_ready(home, ReadyItem{cell->item.cont, nt, procs_[home].clock});
+    push_ready(home, ReadyItem{cell->cont, nt, procs_[home].clock});
     return;
   }
   if (cell->waiter) {
@@ -691,28 +676,22 @@ void Machine::run_ready(ProcId p) {
     }
     // Idle: future stealing — pop the oldest live continuation (oldest
     // first gives the largest-granularity task, as in lazy task creation).
-    WorkItem* w = nullptr;
-    while (!pr.worklist.empty()) {
-      WorkItem* c = pr.worklist.front();
+    FutureCell* cell = nullptr;
+    while (cell == nullptr && !pr.worklist.empty()) {
+      const WorkItem w = pr.worklist.front();
       pr.worklist.pop_front();
-      if (c->taken) {
-        unlink_item(c);
-        continue;
-      }
-      w = c;
-      unlink_item(c);
-      break;
+      if (!w.stale()) cell = w.cell;
     }
-    if (w == nullptr) break;
-    w->taken = true;
+    if (cell == nullptr) break;
+    cell->taken = true;
     charge_to(p, cfg_.costs.future_steal, CycleBucket::kCompute);
     ThreadState* nt = new_thread(p);
     ++stats_.futures_stolen;
     // An idle steal is enabled by the futurecall that pushed the work item.
-    nt->obs_next_parent = w->cell->obs_create_event;
-    note_event(EventKind::kFutureSteal, p, nt, trace::kNoSite,
-               w->cell->serial, 0);
-    resume_on(p, w->cont, nt);
+    nt->obs_next_parent = cell->obs_create_event;
+    note_event(EventKind::kFutureSteal, p, nt, trace::kNoSite, cell->serial,
+               0);
+    resume_on(p, cell->cont, nt);
   }
 }
 
@@ -721,8 +700,7 @@ void Machine::drain() {
     bool ran = false;
     for (ProcId p = 0; p < cfg_.nprocs; ++p) {
       Proc& pr = procs_[p];
-      while (!pr.worklist.empty() && pr.worklist.front()->taken) {
-        unlink_item(pr.worklist.front());
+      while (!pr.worklist.empty() && pr.worklist.front().stale()) {
         pr.worklist.pop_front();
       }
       if (!pr.ready.empty() || !pr.worklist.empty()) {

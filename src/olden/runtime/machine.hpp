@@ -124,16 +124,15 @@ class Machine {
   /// and the resumed frame then loads through a junk address (observed as
   /// a UBSan null-load in any -O2 sanitized build). A regular function
   /// re-derives the TLS address on every call, which sidesteps the hazard;
-  /// unsanitized builds keep the zero-cost inline read.
-  static Machine& current() {
+  /// unsanitized builds keep the zero-cost inline read, forced inline: it
+  /// runs in every awaiter, and GCC otherwise calls it out of line at -O2.
 #if OLDEN_SYMMETRIC_TRANSFER
+  [[gnu::always_inline]] static Machine& current() {
     OLDEN_REQUIRE(current_ != nullptr, "no Machine is live");
     return *current_;
-#else
-    return current_outofline();
-#endif
   }
-#if !OLDEN_SYMMETRIC_TRANSFER
+#else
+  static Machine& current() { return current_outofline(); }
   static Machine& current_outofline();
 #endif
 
@@ -183,61 +182,38 @@ class Machine {
   [[nodiscard]] const RunConfig& config() const { return cfg_; }
   [[nodiscard]] bool baseline() const { return cfg_.costs.sequential_baseline; }
 
-  /// One heap access at a dereference site. Fills/consumes `buf` (size
-  /// bytes). Returns true if the access completed (local, or satisfied via
-  /// the software cache); false means the caller must suspend and the
-  /// machine will migrate the thread to `a`'s owner (call
-  /// `migrate_to(...)` from await_suspend, then `finish_access_local`
-  /// from await_resume). Inline: this runs once per rd/wr in every
-  /// simulated program, and the local fast path is a handful of branches.
-  bool access(GlobalAddr a, void* buf, std::uint32_t size, bool is_write,
-              SiteId site) {
+  /// One heap access at a dereference site, moving sizeof(T) bytes between
+  /// `*buf` and `a`. Returns true if the access completed (local, or
+  /// satisfied via the software cache); false means the caller must
+  /// suspend and the machine will migrate the thread to `a`'s owner (call
+  /// `migrate_to(...)` from await_suspend, then `finish_access_local` from
+  /// await_resume). This runs once per rd/wr in every simulated program,
+  /// so the common cases finish here with a fixed-size copy: a local
+  /// access under either mechanism, and a cached read of one valid line on
+  /// a resident page no acquire has made suspect. Every other cached
+  /// access goes to the chunk loop, which would charge such a hit byte
+  /// for byte the same.
+  template <class T>
+  bool access(GlobalAddr a, T* buf, bool is_write, SiteId site) {
+    constexpr std::uint32_t size = sizeof(T);
     OLDEN_REQUIRE(!a.is_null(), "dereference of a null global pointer");
     if (baseline()) {
       charge(1, trace::CycleBucket::kCompute);
       home_copy(a, buf, size, is_write);
       return true;
     }
-    charge(cfg_.costs.pointer_test, trace::CycleBucket::kCompute);
-    const bool local = a.proc() == cur_proc();
-    const Mechanism mech = mechanism(site);
-
-    if (mech == Mechanism::kCache) {
-      if (is_write) {
-        ++stats_.cacheable_writes;
-      } else {
-        ++stats_.cacheable_reads;
-      }
-      if (local) {
-        charge(cfg_.costs.local_access, trace::CycleBucket::kCompute);
-        home_copy(a, buf, size, is_write);
-        if (is_write) track_write(a, size);
-        if (obs_ != nullptr) {
-          obs_->profile_access(site, is_write
-                                         ? profile::AccessClass::kLocalWrite
-                                         : profile::AccessClass::kLocalRead);
-        }
-        return true;
-      }
-      if (is_write) {
-        ++stats_.cacheable_writes_remote;
-      } else {
-        ++stats_.cacheable_reads_remote;
-      }
-      if (!cached_access_fast(cur_proc(), a, buf, size, is_write, site)) {
-        cached_access(a, buf, size, is_write, site);  // the chunk loop
-      }
-      return true;
+    const ProcId p = cur_proc();
+    charge_to(p, cfg_.costs.pointer_test, trace::CycleBucket::kCompute);
+    const bool local = a.proc() == p;
+    if (mechanism(site) == Mechanism::kCache) {
+      ++(is_write ? stats_.cacheable_writes : stats_.cacheable_reads);
+    } else if (!local) {
+      return false;  // the awaiter suspends and calls migrate_to()
+    } else {
+      ++(is_write ? stats_.local_writes : stats_.local_reads);
     }
-
-    // Migration mechanism.
     if (local) {
-      if (is_write) {
-        ++stats_.local_writes;
-      } else {
-        ++stats_.local_reads;
-      }
-      charge(cfg_.costs.local_access, trace::CycleBucket::kCompute);
+      charge_to(p, cfg_.costs.local_access, trace::CycleBucket::kCompute);
       home_copy(a, buf, size, is_write);
       if (is_write) track_write(a, size);
       if (obs_ != nullptr) {
@@ -246,7 +222,28 @@ class Machine {
       }
       return true;
     }
-    return false;  // the awaiter suspends and calls migrate_to()
+    ++(is_write ? stats_.cacheable_writes_remote
+                : stats_.cacheable_reads_remote);
+    const std::uint32_t line_off = a.raw() % kLineBytes;
+    if (!is_write && line_off + size <= kLineBytes) {
+      const SoftwareCache::LookupResult lr =
+          procs_[p].cache.lookup(a.page_id());
+      const SoftwareCache::PageEntry* e = lr.entry;
+      const std::uint32_t line = a.line_in_page();
+      if (e != nullptr && !e->suspect && (e->valid & (1u << line)) != 0) {
+        charge_to(p, cfg_.costs.cache_lookup, trace::CycleBucket::kCacheStall);
+        if (lr.chain_steps > 1) {
+          charge_to(p, (lr.chain_steps - 1) * cfg_.costs.cache_chain_step,
+                    trace::CycleBucket::kCacheStall);
+        }
+        std::memcpy(buf, e->frame + line * kLineBytes + line_off, size);
+        ++stats_.cache_hits;
+        if (obs_ != nullptr) note_hit(p, a.page_id(), site);
+        return true;
+      }
+    }
+    cached_access(a, buf, size, is_write, site);  // the chunk loop
+    return true;
   }
 
   /// Begin a forward computation migration of the current thread to
@@ -338,6 +335,8 @@ class Machine {
   }
   [[nodiscard]] std::uint64_t threads_created() const { return next_thread_id_; }
   [[nodiscard]] std::uint64_t cells_live() const { return cells_live_; }
+  /// Cells the machine ever made, live or free (test introspection).
+  [[nodiscard]] std::size_t cells_created() const { return cells_.size(); }
 
   /// A timing checkpoint: makespan so far. Benchmarks call this between
   /// their build and kernel phases so Table 2 can report kernel-only times.
@@ -354,7 +353,7 @@ class Machine {
     Cycles clock = 0;
     SoftwareCache cache;
     std::deque<ReadyItem> ready;
-    std::deque<WorkItem*> worklist;
+    std::deque<WorkItem> worklist;
   };
 
   /// Inter-processor message kinds on the discrete-event wire (distinct
@@ -385,9 +384,6 @@ class Machine {
   /// RunConfig sanity gate, run before any member that sizes itself by
   /// nprocs is constructed. Throws ConfigError on violation.
   static RunConfig validated(RunConfig cfg);
-
-  /// Unregister `cell` from the live-cell registry and delete it.
-  void free_cell(FutureCell* cell);
 
   void schedule(Event e);
   void apply(const Event& e);
@@ -443,8 +439,6 @@ class Machine {
     return id;
   }
 
-  void unlink_item(WorkItem* w);
-
   /// Enqueue a runnable item, sampling the ready-queue depth.
   void push_ready(ProcId p, ReadyItem it, bool front = false) {
     auto& q = procs_[p].ready;
@@ -497,62 +491,13 @@ class Machine {
     }
   }
 
-  /// Single-line cached access with the page already resident and not
-  /// suspect: the overwhelmingly common case, handled inline. Charges,
-  /// stats and events are byte-for-byte what the chunk loop produces for
-  /// the same access; anything off the fast path (page fault, line miss
-  /// on a read, suspect page, straddling access) returns false untouched
-  /// — no cycles charged, no stats bumped — and the chunk loop redoes the
-  /// translation from scratch.
-  bool cached_access_fast(ProcId p, GlobalAddr a, void* buf,
-                          std::uint32_t size, bool is_write, SiteId site) {
-    const std::uint32_t line_off = a.raw() % kLineBytes;
-    if (line_off + size > kLineBytes) return false;  // straddles lines
-    Proc& pr = procs_[p];
-    const std::uint32_t page_id = a.page_id();
-    const SoftwareCache::LookupResult lr = pr.cache.lookup(page_id);
-    SoftwareCache::PageEntry* e = lr.entry;
-    if (e == nullptr || e->suspect) return false;
-    const std::uint32_t line = a.line_in_page();
-    const std::uint32_t bit = 1u << line;
-    if (!is_write && (e->valid & bit) == 0) return false;  // read miss
-
-    charge_to(p, cfg_.costs.cache_lookup, trace::CycleBucket::kCacheStall);
-    if (lr.chain_steps > 1) {
-      charge_to(p, (lr.chain_steps - 1) * cfg_.costs.cache_chain_step,
-                trace::CycleBucket::kCacheStall);
-    }
-    auto* user = static_cast<std::byte*>(buf);
-    if (is_write) {
-      // Write-through, no-allocate: the home always gets the bytes; a
-      // valid cached line is updated in place.
-      std::memcpy(heap_.home_ptr(a, size), user, size);
-      if ((e->valid & bit) != 0) {
-        std::memcpy(e->frame + line * kLineBytes + line_off, user, size);
-      }
-    } else {
-      std::memcpy(user, e->frame + line * kLineBytes + line_off, size);
-    }
-    if (obs_ != nullptr) obs_->touch_page(p, page_id);
-    if (is_write) {
-      charge_to(p, cfg_.costs.remote_write, trace::CycleBucket::kCacheStall);
-      charge_to(a.proc(), cfg_.costs.remote_handler,
-                trace::CycleBucket::kCacheStall);
-      track_write(a, size);
-      if (obs_ != nullptr) {
-        obs_->profile_access(site, profile::AccessClass::kWriteThrough);
-      }
-    } else {
-      ++stats_.cache_hits;
-      note_event(trace::EventKind::kCacheHit, p, cur_thread_, site, page_id);
-    }
-    return true;
-  }
-
-  /// The chunk loop: the one engine for every cached access the fast path
-  /// declines, one line-sized chunk at a time, epilogue included. Each
-  /// line fill and bilateral timestamp check is a blocking round trip to
-  /// the line's home (see machine.cpp).
+  /// The observer half of access()'s inline read hit, in the chunk loop's
+  /// order: page heat, then the hit event.
+  void note_hit(ProcId p, std::uint32_t page_id, SiteId site);
+  /// The chunk loop: the one engine for every cached access access() does
+  /// not finish inline, one line-sized chunk at a time, epilogue included.
+  /// Each line fill and bilateral timestamp check is a blocking round trip
+  /// to the line's home (see machine.cpp).
   void cached_access(GlobalAddr a, void* buf, std::uint32_t size,
                      bool is_write, SiteId site);
   /// Fill the line holding `cur` into processor `p`'s page `entry` from
@@ -586,15 +531,11 @@ class Machine {
   ThreadId next_thread_id_ = 0;
   bool root_done_ = false;
   std::uint64_t cells_live_ = 0;
-  std::uint64_t live_suspended_ = 0;
-  /// Every FutureCell not yet freed, for leak-proof teardown: a program
-  /// may end with resolved-but-never-touched cells (or unresolved ones,
-  /// under fault injection), which no work list still references.
-  /// Cells swap-pop out via `free_cell`; ~Machine frees the remainder.
-  std::vector<FutureCell*> cells_;
-  /// Retired cells held for reuse — futurecall is hot enough that one
-  /// heap allocation per call shows up in host profiles.
-  std::vector<FutureCell*> cell_pool_;
+  /// Every FutureCell the machine made (stable addresses, so a stale
+  /// work-list entry always points at a cell), and the ones a touch freed,
+  /// reused last-in first-out by the next futurecall.
+  std::deque<FutureCell> cells_;
+  std::vector<FutureCell*> free_cells_;
 
   MachineStats stats_;
   trace::Observer* obs_ = nullptr;
@@ -602,7 +543,11 @@ class Machine {
   std::unique_ptr<fault::FaultPlane> fault_;
 
   Machine* prev_machine_ = nullptr;
-  static thread_local Machine* current_;
+  /// thread_local so independent Machines can run on separate host
+  /// threads (bench_cell/host_perf --jobs); the save/restore pair in the
+  /// ctor/dtor still supports nested Machines within one thread. Defined
+  /// here, constant-initialized, so a read needs no TLS init guard.
+  static inline thread_local Machine* current_ = nullptr;
 
   friend class fault::FaultPlane;
 };

@@ -78,5 +78,33 @@ TEST(SuiteShape, HeuristicChoiceMatchesTable2) {
   }
 }
 
+// The cell runner computes one host reference per benchmark for all the
+// cells of a table, so a reference may read the size and seed and nothing
+// that varies between cells: not the processor count, the scheme or the
+// role.
+TEST(SuiteShape, ReferenceReadsOnlySizeAndSeed) {
+  for (const Benchmark* b : suite()) {
+    BenchConfig base;
+    base.tiny = true;
+    const std::uint64_t want = b->reference_checksum(base);
+    for (const ProcId nprocs : {1u, 8u}) {
+      for (const Coherence scheme : {Coherence::kLocalKnowledge,
+                                     Coherence::kEagerGlobal,
+                                     Coherence::kBilateral}) {
+        for (int role = 0; role < 3; ++role) {
+          BenchConfig cfg = base;
+          cfg.nprocs = nprocs;
+          cfg.scheme = scheme;
+          cfg.sequential_baseline = role == 1;
+          cfg.migrate_only = role == 2;
+          EXPECT_EQ(b->reference_checksum(cfg), want)
+              << b->name() << " at P=" << nprocs << " scheme "
+              << to_string(scheme) << " role " << role;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace olden::bench

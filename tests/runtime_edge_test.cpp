@@ -174,6 +174,72 @@ TEST(RuntimeEdge, OutstandingFuturesTouchedInAnyOrder) {
             m.stats().futures_inlined + m.stats().futures_stolen);
 }
 
+// --- future cells: recycled at touch ----------------------------------------
+
+Task<std::int64_t> unit(Machine& m) {
+  m.work(1);
+  co_return 1;
+}
+
+/// micro_runtime's future_storm: every body returns inline, and every
+/// work-list entry stays queued until the processor next idles.
+Task<std::int64_t> future_storm(Machine& m, int n) {
+  std::int64_t acc = 0;
+  for (int i = 0; i < n; ++i) {
+    auto f = co_await futurecall(unit(m));
+    acc += co_await touch(f);
+  }
+  co_return acc;
+}
+
+TEST(FutureCells, InlinedFuturecallsReuseOneCell) {
+  Machine m({.nprocs = 4});
+  m.set_site_mechanisms(table());
+  EXPECT_EQ(run_program(m, future_storm(m, 100'000)), 100'000);
+  EXPECT_EQ(m.stats().futures_inlined, 100'000u);
+  // Each touch frees the cell the next futurecall takes, although every
+  // entry naming it stays queued until the processor idles.
+  EXPECT_EQ(m.cells_created(), 1u);
+  EXPECT_EQ(m.cells_live(), 0u);
+}
+
+/// Runs inline under the root's futurecall. Touching `first` frees its
+/// cell while the root's entry for it is still queued; the futurecall
+/// after it takes that cell, and its body migrates, so this processor
+/// idles and steals.
+Task<std::int64_t> middle(Future<std::int64_t> first, GPtr<Node> far,
+                          std::vector<int>* order) {
+  const std::int64_t v = co_await touch(first);
+  auto f = co_await futurecall(leafwork(far));
+  order->push_back(2);
+  co_return v + co_await touch(f);
+}
+
+Task<std::int64_t> recycled_root(Machine& m, std::vector<int>* order) {
+  auto far = m.alloc<Node>(1);
+  co_await wr(far, &Node::val, std::int64_t{5}, kCache0);
+  auto first = co_await futurecall(unit(m));
+  auto mid = co_await futurecall(middle(first, far, order));
+  order->push_back(1);
+  co_return co_await touch(mid);
+}
+
+/// Processor 0's work list holds [first's entry, mid's entry, the recycled
+/// cell's new entry] when it idles. The steal must skip the first entry,
+/// whose cell now carries a later serial, and take the oldest live
+/// continuation, the root's; an entry that read the recycled cell's state
+/// would resume middle's continuation first.
+TEST(FutureCells, StealSkipsTheOldEntryOfARecycledCell) {
+  Machine m({.nprocs = 2});
+  m.set_site_mechanisms(table());
+  std::vector<int> order;
+  EXPECT_EQ(run_program(m, recycled_root(m, &order)), 6);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(m.stats().futures_stolen, 2u);
+  EXPECT_EQ(m.cells_created(), 2u);
+  EXPECT_EQ(m.cells_live(), 0u);
+}
+
 // --- nested futures: grandchildren write, grandparent reads ---------------
 
 Task<std::int64_t> grandchild(GPtr<Node> n) {

@@ -231,6 +231,19 @@ TEST_P(TreeSumAllSchemes, CorrectUnderEverySchemeAndSize) {
   EXPECT_EQ(m.cells_live(), 0u);
 }
 
+// TreeAdd's size (256K nodes) and processor count: a touch frees its cell
+// for the next futurecall, so the machine makes about as many cells as
+// futures are ever outstanding at once, not one per work-list entry still
+// queued (32,774 here).
+TEST(RuntimeSmoke, TreeSumRecyclesFutureCells) {
+  Machine m({.nprocs = 8});
+  m.set_site_mechanisms(
+      {Mechanism::kMigrate, Mechanism::kMigrate, Mechanism::kMigrate});
+  EXPECT_EQ(run_program(m, tree_root(m, 18)), (1 << 18) - 1);
+  EXPECT_LT(m.cells_created(), 100u);
+  EXPECT_EQ(m.cells_live(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Schemes, TreeSumAllSchemes,
     ::testing::Combine(::testing::Values(Coherence::kLocalKnowledge,

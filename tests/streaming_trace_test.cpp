@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -322,10 +323,9 @@ TEST(CellMerge, FailedCellAddsNothingAndLeavesNoFile) {
       });
 }
 
-/// TreeAdd under another name, whose host reference disagrees with it.
-class WrongReference final : public Benchmark {
+/// TreeAdd under another name, with a host reference of its own.
+class TreeAlias : public Benchmark {
  public:
-  std::string name() const override { return "WrongRef"; }
   std::string description() const override { return tree().description(); }
   std::string problem_size(bool paper) const override {
     return tree().problem_size(paper);
@@ -341,13 +341,48 @@ class WrongReference final : public Benchmark {
   BenchResult run(const BenchConfig& cfg) const override {
     return tree().run(cfg);
   }
+
+ protected:
+  static const Benchmark& tree() { return treeadd_benchmark(); }
+};
+
+/// Its host reference disagrees with TreeAdd.
+class WrongReference final : public TreeAlias {
+ public:
+  std::string name() const override { return "WrongRef"; }
   std::uint64_t reference_checksum(const BenchConfig& cfg) const override {
     return tree().reference_checksum(cfg) + 1;
   }
-
- private:
-  static const Benchmark& tree() { return treeadd_benchmark(); }
 };
+
+/// Counts the host references it computes.
+class CountedReference final : public TreeAlias {
+ public:
+  std::string name() const override { return "Counted"; }
+  std::uint64_t reference_checksum(const BenchConfig& cfg) const override {
+    ++references;
+    return tree().reference_checksum(cfg);
+  }
+  mutable std::atomic<int> references{0};
+};
+
+/// Every cell of a benchmark shares one host reference, at any job count.
+TEST(CellRunner, ComputesEachReferenceOnce) {
+  const CountedReference counted;
+  const std::vector<Cell> cells = {
+      {&counted, 1, Coherence::kLocalKnowledge, Role::kSequential},
+      {&counted, 4, Coherence::kLocalKnowledge},
+      {find_benchmark("MST"), 4},
+      {&counted, 4, Coherence::kEagerGlobal},
+      {&counted, 8, Coherence::kBilateral, Role::kMigrateOnly}};
+  for (const std::size_t jobs : {1, 4}) {
+    counted.references = 0;
+    for (const CellResult& r : run_cells("runner", cells, tiny_config(), jobs)) {
+      EXPECT_TRUE(r.ok) << r.error;
+    }
+    EXPECT_EQ(counted.references, 1) << "jobs " << jobs;
+  }
+}
 
 /// One list through every job count and limit: the three roles, two
 /// schemes, a plan at p=1, a cell the lost fills trip and one whose
