@@ -400,7 +400,7 @@ std::coroutine_handle<> Machine::on_task_final(std::coroutine_handle<> cont,
         cell->obs_resolve_event = note_event(
             EventKind::kFutureResolve, t->proc, t, trace::kNoSite,
             cell->serial, 0);
-        cell->taken = true;
+        take(cell);
         ++stats_.futures_inlined;
         return transfer_to(cell->cont);
       }
@@ -503,12 +503,13 @@ FutureCell* Machine::make_future_cell(std::coroutine_handle<> caller_cont,
   cell->body = body;
   cell->cont = caller_cont;
   ++cells_live_;
-  std::deque<WorkItem>& worklist = procs_[p].worklist;
-  worklist.push_back({cell, cell->serial});
+  Proc& pr = procs_[p];
+  pr.worklist.push_back({cell, cell->serial});
+  ++pr.stealable;
   cell->obs_create_event = note_event(EventKind::kFutureCreate, p,
                                       cur_thread_, trace::kNoSite, cell->serial);
   if (obs_ != nullptr) {
-    obs_->record(trace::Hist::kWorklistDepth, worklist.size());
+    obs_->record(trace::Hist::kWorklistDepth, pr.stealable);
   }
   return cell;
 }
@@ -560,7 +561,7 @@ void Machine::resolve_future_at_home(FutureCell* cell) {
   if (!cell->taken) {
     // The continuation was never stolen (the processor had other work the
     // whole time); the resolution makes it runnable as a fresh thread.
-    cell->taken = true;
+    take(cell);
     ThreadState* nt = new_thread(home);
     ++stats_.futures_stolen;
     // The steal exists because the resolution message arrived.
@@ -683,7 +684,7 @@ void Machine::run_ready(ProcId p) {
       if (!w.stale()) cell = w.cell;
     }
     if (cell == nullptr) break;
-    cell->taken = true;
+    take(cell);
     charge_to(p, cfg_.costs.future_steal, CycleBucket::kCompute);
     ThreadState* nt = new_thread(p);
     ++stats_.futures_stolen;

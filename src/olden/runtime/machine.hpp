@@ -354,6 +354,10 @@ class Machine {
     SoftwareCache cache;
     std::deque<ReadyItem> ready;
     std::deque<WorkItem> worklist;
+    /// Work-list entries whose continuation is still untaken, what an idle
+    /// steal could pop. Taken entries wait in `worklist` for lazy pruning,
+    /// so its size counts them too.
+    std::uint32_t stealable = 0;
   };
 
   /// Inter-processor message kinds on the discrete-event wire (distinct
@@ -516,6 +520,12 @@ class Machine {
     }
   }
   void resolve_future_at_home(FutureCell* cell);
+  /// Take `cell`'s continuation: a steal pops it, or the body's inline
+  /// return consumes it. Its home has one stealable entry fewer.
+  void take(FutureCell* cell) {
+    cell->taken = true;
+    --procs_[cell->home].stealable;
+  }
 
   RunConfig cfg_;
   DistHeap heap_;

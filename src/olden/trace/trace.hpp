@@ -200,7 +200,8 @@ enum class Hist : std::uint8_t {
   kReturnLatency,     ///< return-stub send -> arrive, cycles
   kMissFillCycles,    ///< requester-side stall cycles per missing access
   kReadyQueueDepth,   ///< ready-queue depth sampled at each enqueue
-  kWorklistDepth,     ///< work-list depth sampled at each futurecall
+  kWorklistDepth,     ///< stealable continuations on the futurecalling
+                      ///< processor, sampled at each futurecall
   kPageHeat,          ///< cached accesses per (proc, page), folded at finish
 };
 

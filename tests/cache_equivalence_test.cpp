@@ -98,94 +98,94 @@ struct PinnedTrace {
 };
 constexpr PinnedTrace kPinnedTraces[] = {
     {"TreeAdd", Coherence::kLocalKnowledge, 0x5c528eff40a0780fULL,
-     0x2112114f29ef33bfULL,
+     0x5adb1ff12269e9f0ULL,
      0x50b176128d55daf1ULL, 0xf4e785dbe6768446ULL},
     {"TreeAdd", Coherence::kEagerGlobal, 0xd401be15c9a52ab5ULL,
-     0x91712ced6b925709ULL,
+     0xb6aa31cb145e97b8ULL,
      0x909ba14560a00e67ULL, 0x59c5909b7a2b2950ULL},
     {"TreeAdd", Coherence::kBilateral, 0x140d556f8f951df0ULL,
-     0xda979d54efc6000bULL,
+     0xb84a0fcbbab70416ULL,
      0x742de300ff2f46fbULL, 0xce33b6de887afed9ULL},
     {"Power", Coherence::kLocalKnowledge, 0x252ca79357f83c21ULL,
-     0xaa4489fb0a56705cULL,
+     0x899034c30d96aeedULL,
      0x13b4538f4bc224f3ULL, 0x03adfd7521272468ULL},
     {"Power", Coherence::kEagerGlobal, 0x8e349a50b15b2dfaULL,
-     0x8a488798edba4e91ULL,
+     0xbbb7175466d09650ULL,
      0x5dc8a2818a65bb4fULL, 0xdaefacd6b8d8e973ULL},
     {"Power", Coherence::kBilateral, 0x51e876d0714eec47ULL,
-     0xf3dbe08ed1fae9dbULL,
+     0x8d54ade8ff60e3daULL,
      0xd382f53b5a5061d8ULL, 0xbd68b04b25d8cac7ULL},
     {"TSP", Coherence::kLocalKnowledge, 0x70b626e031add453ULL,
-     0xa9d5de5140f6ece1ULL,
+     0x73df4bd14176fe86ULL,
      0x95cc77f054f0be22ULL, 0xe1d9870ba2cce08fULL},
     {"TSP", Coherence::kEagerGlobal, 0x02d2a8e4807caef8ULL,
-     0xe778828f9c9563a0ULL,
+     0xf6bf15232d95fc75ULL,
      0x54adc521b8c3f106ULL, 0x7715b1e114529a19ULL},
     {"TSP", Coherence::kBilateral, 0x669bad0e8704ee37ULL,
-     0xd701c746b38fe08aULL,
+     0x38bd2025fa5eabffULL,
      0x420c3112637ba21dULL, 0x5b91783a95b2280eULL},
     {"MST", Coherence::kLocalKnowledge, 0xf3f813e3fe1492e8ULL,
-     0x0114c21879b4d179ULL,
+     0x76dedc32134da20bULL,
      0xf412f9116ec8d1f1ULL, 0x3737e2378319c7e2ULL},
     {"MST", Coherence::kEagerGlobal, 0xd92b104ef1723a63ULL,
-     0xf8c696c0217115d9ULL,
+     0x26e0e9c4f70af43fULL,
      0x77d059eddebf4decULL, 0xac130a881c4522f1ULL},
     {"MST", Coherence::kBilateral, 0x47ae975fffd6ee04ULL,
-     0xbeaceb874214678aULL,
+     0x97e667f42c87d560ULL,
      0xbd4cf4f66add2ca9ULL, 0x20b7ce021b9c92feULL},
     {"Bisort", Coherence::kLocalKnowledge, 0xbf15009fd364491cULL,
-     0x7c8621b9b8623ce7ULL,
+     0xe622458b28f6c37dULL,
      0xe920d6b055abb10dULL, 0xeddd775a2a2b5a38ULL},
     {"Bisort", Coherence::kEagerGlobal, 0xb3bc105bda6c7a92ULL,
-     0x815cce660a2d6bc9ULL,
+     0x0a68b81a7d42a6e3ULL,
      0xa6faae56f7ab83edULL, 0x909e4703d07f1c93ULL},
     {"Bisort", Coherence::kBilateral, 0x546aeb203d9ae968ULL,
-     0x17887dfb1d1a8082ULL,
+     0x642fc736b593a89cULL,
      0xf2ad8eb7b436f33cULL, 0x69e494a4964c0b9cULL},
     {"Voronoi", Coherence::kLocalKnowledge, 0x9bfa6636e9ed9a4fULL,
-     0x4323d8a86955a84aULL,
+     0x787d35f583ecd384ULL,
      0x339a03b9ea155923ULL, 0x879f35063c078cf9ULL},
     {"Voronoi", Coherence::kEagerGlobal, 0xaf5b59670802aaafULL,
-     0x278647545b9010c1ULL,
+     0x1e35735632e289c7ULL,
      0x0e664cacd93c3168ULL, 0x147f194a423255a2ULL},
     {"Voronoi", Coherence::kBilateral, 0x3faf0947e7783e92ULL,
-     0xd2ac2bc12c37633dULL,
+     0x9f4a81769bf12897ULL,
      0xb6969c88b60f7355ULL, 0xc74657eb5de17287ULL},
     {"EM3D", Coherence::kLocalKnowledge, 0xbf465f187af3299dULL,
-     0x9227cca01184d4aeULL,
+     0x0d397c0b4b6445a9ULL,
      0xca7625da5ba80bc2ULL, 0x70ebe829cc3194a4ULL},
     {"EM3D", Coherence::kEagerGlobal, 0xd3f527460b516783ULL,
-     0x86ba45d34b351ff2ULL,
+     0x41b7eed245904735ULL,
      0xea04b7f69cc37978ULL, 0xfc2bf69385727c55ULL},
     {"EM3D", Coherence::kBilateral, 0x4ddeedcb991e205fULL,
-     0x6073cbd4eb0f018fULL,
+     0xf5d3c88f686d9caeULL,
      0xe3c8c084e288ff0eULL, 0x98f4aa99393f95b6ULL},
     {"Barnes-Hut", Coherence::kLocalKnowledge, 0x72a2afde6865009fULL,
-     0x7d734cdb89b4e724ULL,
+     0xb937caec840cd847ULL,
      0x9607d93a75392a54ULL, 0xbcebb5f28ead11b2ULL},
     {"Barnes-Hut", Coherence::kEagerGlobal, 0x40ad80dbcd5342f9ULL,
-     0x10661e6545ef247aULL,
+     0x6c43f4cba93cdadfULL,
      0x2f0d5b095bacf088ULL, 0xc6c095b097ddb32eULL},
     {"Barnes-Hut", Coherence::kBilateral, 0x311a06b0234b53c3ULL,
-     0xf2ca3513c09715a4ULL,
+     0x47b9a2281515dfdfULL,
      0x5fbf512d1c735411ULL, 0xc53b6cee0ca26820ULL},
     {"Perimeter", Coherence::kLocalKnowledge, 0x3fe73aa80eb7e468ULL,
-     0xd7a45d0058bffc12ULL,
+     0x919e8e433fc9336bULL,
      0x10279dfee908e327ULL, 0x970f87d25bc8819fULL},
     {"Perimeter", Coherence::kEagerGlobal, 0x31149548bac140d0ULL,
-     0x8843ed56e101a875ULL,
+     0xf40abd3e6dc9e996ULL,
      0x9259df03656ebd57ULL, 0x5a5ef6d1b4c8f0b4ULL},
     {"Perimeter", Coherence::kBilateral, 0x186bfa424653a4d1ULL,
-     0xb840c256707a9d88ULL,
+     0x305c7c80bf0a31e5ULL,
      0xba36452aafab2b0aULL, 0x3a4e93ea94d09c89ULL},
     {"Health", Coherence::kLocalKnowledge, 0x45ca93afe70fec56ULL,
-     0xf71251e6cde44427ULL,
+     0xcb03629dd058039cULL,
      0x6e82c14fe9044aa1ULL, 0x2886c2f1b38febc3ULL},
     {"Health", Coherence::kEagerGlobal, 0x19b87bd69e87e84dULL,
-     0x2a1e7c2cb59cf792ULL,
+     0xe4524d1198a6f303ULL,
      0xc972048a73c8af15ULL, 0x7d742b8d0c2f2773ULL},
     {"Health", Coherence::kBilateral, 0x84db4b327461c06bULL,
-     0x554e4535d49cae2dULL,
+     0x059a2ffd3c81bb1eULL,
      0xa36aefc8260f2ae0ULL, 0x554830604a435d12ULL},
 };
 

@@ -244,6 +244,24 @@ TEST(RuntimeSmoke, TreeSumRecyclesFutureCells) {
   EXPECT_EQ(m.cells_live(), 0u);
 }
 
+// worklist_depth samples the continuations a steal could still take, each
+// of them a live cell's, so no sample exceeds the cells the machine made.
+// The work-list deque itself also holds taken entries that lazy pruning
+// has not reached: thousands of them on this tree.
+TEST(RuntimeSmoke, WorklistDepthCountsStealableEntries) {
+  trace::Observer obs;
+  obs.begin_run("tree_sum");
+  Machine m({.nprocs = 8, .observer = &obs});
+  m.set_site_mechanisms(
+      {Mechanism::kMigrate, Mechanism::kMigrate, Mechanism::kMigrate});
+  EXPECT_EQ(run_program(m, tree_root(m, 18)), (1 << 18) - 1);
+  ASSERT_EQ(obs.runs().size(), 1u);
+  const auto& depth = obs.runs()[0].hists[static_cast<std::size_t>(
+      trace::Hist::kWorklistDepth)];
+  EXPECT_GE(depth.min(), 1u);  // the entry just pushed
+  EXPECT_LE(depth.max(), m.cells_created());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Schemes, TreeSumAllSchemes,
     ::testing::Combine(::testing::Values(Coherence::kLocalKnowledge,
