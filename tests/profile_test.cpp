@@ -312,14 +312,12 @@ TEST(Feedback, HeuristicSpecStaticAndProfileFile) {
   ASSERT_TRUE(profile::parse_heuristic_spec("static", &t, &use, &err));
   EXPECT_FALSE(use);
 
-  const std::string path = ::testing::TempDir() + "profile_feedback_ok.txt";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("# olden-profile-feedback v1\nHealth 3 migrate\n", f);
-  std::fclose(f);
-  ASSERT_TRUE(profile::parse_heuristic_spec("profile:" + path, &t, &use,
-                                            &err))
-      << err;
+  const std::string path = test::temp_path("feedback_ok.txt");
+  test::write_file(path, "# olden-profile-feedback v1\nHealth 3 migrate\n");
+  const bool parsed =
+      profile::parse_heuristic_spec("profile:" + path, &t, &use, &err);
+  std::remove(path.c_str());
+  ASSERT_TRUE(parsed) << err;
   EXPECT_TRUE(use);
   EXPECT_EQ(t.lookup("Health", 3), Mechanism::kMigrate);
 

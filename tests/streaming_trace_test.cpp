@@ -285,6 +285,7 @@ TEST(StreamingSink, RecordRoundTripsEveryField) {
   }
   EXPECT_FALSE(ts.next_run(&run, &err));
   EXPECT_EQ(err, "");
+  std::remove(path.c_str());
 }
 
 /// The runner's merge of three cells reconstructs the serial record, also
@@ -552,6 +553,7 @@ TEST(TraceStream, RejectsCorruptInput) {
     analyze::TraceStream ts;
     EXPECT_FALSE(ts.open(path, &err));
     EXPECT_NE(err.find("bad magic"), std::string::npos) << err;
+    std::remove(path.c_str());
   }
   {
     const std::string path = temp_path("v1.bin");
@@ -561,6 +563,7 @@ TEST(TraceStream, RejectsCorruptInput) {
     analyze::TraceStream ts;
     EXPECT_FALSE(ts.open(path, &err));
     EXPECT_NE(err.find("OLDNTRC1"), std::string::npos) << err;
+    std::remove(path.c_str());
   }
   {
     // Chop the file mid-events: the per-run plausibility bound must
@@ -572,6 +575,7 @@ TEST(TraceStream, RejectsCorruptInput) {
     analyze::TraceRun run;
     EXPECT_FALSE(ts.next_run(&run, &err));
     EXPECT_NE(err.find("exceeds file size"), std::string::npos) << err;
+    std::remove(path.c_str());
   }
   {
     // Corrupt the first record's kind byte (at +20) past kNumEventKinds.
@@ -588,6 +592,7 @@ TEST(TraceStream, RejectsCorruptInput) {
     std::vector<trace::TraceEvent> batch;
     EXPECT_FALSE(ts.next_events(&batch, 4'096, &err));
     EXPECT_NE(err.find("out-of-range kind"), std::string::npos) << err;
+    std::remove(path.c_str());
   }
 }
 
@@ -605,14 +610,16 @@ TEST(TraceReader, RejectsBackPatchedHeaderDisagreement) {
     write_file(path, bytes);
     std::string err;
     analyze::TraceStream ts;
-    if (!ts.open(path, &err)) return err;
-    analyze::TraceRun run;
-    std::vector<trace::TraceEvent> batch;
-    while (ts.next_run(&run, &err)) {
-      while (ts.next_events(&batch, 4'096, &err)) {
+    if (ts.open(path, &err)) {
+      analyze::TraceRun run;
+      std::vector<trace::TraceEvent> batch;
+      while (ts.next_run(&run, &err)) {
+        while (ts.next_events(&batch, 4'096, &err)) {
+        }
+        if (!err.empty()) break;
       }
-      if (!err.empty()) break;
     }
+    std::remove(path.c_str());
     return err;
   };
   const auto expect_rejected = [&](const std::string& name,

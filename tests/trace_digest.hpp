@@ -6,8 +6,8 @@
 #pragma once
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -30,11 +30,25 @@ inline std::uint64_t fnv1a(std::string_view bytes) {
   return h;
 }
 
-/// A temp-file path no other test process shares: ctest -j runs cases
-/// concurrently, each in its own process.
+/// A temp-file path named after the running test case. ctest -j runs
+/// each case in a process of its own, so no two running cases share a
+/// path, and a file an aborted run left is overwritten by the next run
+/// instead of piling up.
 inline std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "olden_" + std::to_string(::getpid()) + "_" +
-         name;
+  std::string path = ::testing::TempDir();
+  path += "olden_";
+  if (const ::testing::TestInfo* t =
+          ::testing::UnitTest::GetInstance()->current_test_info()) {
+    // Parameterized names read "Suite/Fixture.Test/Param".
+    std::string test = t->test_suite_name();
+    test += '.';
+    test += t->name();
+    std::replace(test.begin(), test.end(), '/', '_');
+    path += test;
+    path += '_';
+  }
+  path += name;
+  return path;
 }
 
 inline std::string read_file(const std::string& path) {
