@@ -1,6 +1,6 @@
 // bench_cell: run individual (benchmark x coherence-scheme) cells with
-// checksum validation — the execution backend of the regression harness
-// (tools/bench_runner.py).
+// checksum validation. Its --tiny cells are the ones the tests pin
+// (docs/ANALYSIS.md, "When a pin moves").
 //
 //   bench_cell --benchmark=TreeAdd[,MST,...] [--schemes=local,global,bilateral]
 //              [--nprocs=8] [--tiny | --paper-size] [--jobs=N] [--list]
@@ -37,7 +37,7 @@ void usage(std::FILE* to) {
                "  --schemes=A,B      coherence schemes (default "
                "local,global,bilateral)\n"
                "  --nprocs=N         processors per cell (default 8)\n"
-               "  --tiny             pinned tiny size (regression harness)\n"
+               "  --tiny             pinned tiny size (the tested cells)\n"
                "  --paper-size       original paper problem size\n"
                "  --jobs=N           run cells on N host threads (default 1;\n"
                "                     output identical to serial)\n"

@@ -2,9 +2,9 @@
 //
 // Every other binary in bench/ reports *virtual* cycles — the machine being
 // simulated. This one times the machine doing the simulating: it runs the
-// full --tiny regression matrix (ten benchmarks x three coherence schemes,
-// the exact cells tools/bench_runner.py pins) with no observer attached and
-// reports host milliseconds per cell, best-of-N. The paper's makespans are
+// 30 --tiny cells (ten benchmarks x three coherence schemes, the cells the
+// equivalence tests pin) with no observer attached and reports host
+// milliseconds per cell, best-of-N. The paper's makespans are
 // untouched by any host-side optimization, so this is the number that
 // measures "runs as fast as the hardware allows" for the simulator's own
 // hot paths: cache translation, the coherence directory, write logs and the

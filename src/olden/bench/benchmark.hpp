@@ -36,10 +36,10 @@ struct BenchConfig {
   /// Paper problem size; the default is scaled down so the full table
   /// regenerates in seconds (EXPERIMENTS.md records both).
   bool paper_size = false;
-  /// Pinned tiny problem size for the regression harness
-  /// (tools/bench_runner.py): small enough that every benchmark x scheme
-  /// cell runs in well under a second, large enough that migration and
-  /// caching behavior is still exercised. Overrides paper_size.
+  /// Pinned tiny problem size, the one the equivalence tests pin byte for
+  /// byte: small enough that every benchmark x scheme cell runs in well
+  /// under a second, large enough that migration and caching behavior is
+  /// still exercised. Overrides paper_size.
   bool tiny = false;
   std::uint64_t seed = 12345;
   /// Optional observability sink, forwarded into the Machine's RunConfig.
