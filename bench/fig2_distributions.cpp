@@ -85,12 +85,6 @@ Run run_walk(int n, ProcId procs, bool cyclic, Mechanism mech,
                   : static_cast<ProcId>(
                         static_cast<std::uint64_t>(i) * procs / n);
   };
-  const auto pre = [&] {  // builder traffic excluded via a fresh machine?
-    return 0;
-  };
-  (void)pre;
-  const MachineStats before{};
-  (void)before;
   WalkOut out = run_program(m, walk_root(m, n, owner));
   OLDEN_REQUIRE(out.sum == static_cast<std::int64_t>(n) * (n - 1) / 2,
                 "list traversal checksum");

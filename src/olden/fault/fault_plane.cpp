@@ -52,14 +52,6 @@ WatchdogError::WatchdogError(WatchdogDiagnostic diag)
 FaultPlane::FaultPlane(const FaultSpec& spec, std::uint64_t seed)
     : spec_(spec), rng_(seed) {}
 
-double FaultPlane::drop_probability(Cycles now) const {
-  double p = spec_.drop;
-  if (spec_.burst_period > 0 && now % spec_.burst_period < spec_.burst_len) {
-    p *= spec_.burst_factor;
-  }
-  return std::min(p, 1.0);
-}
-
 void FaultPlane::note(Machine& m, EventKind k, Cycles time, ProcId proc,
                       const Message& msg, std::uint64_t a0, std::uint64_t a1) {
   if (m.obs_ == nullptr) return;
@@ -210,8 +202,7 @@ int FaultPlane::transmit(Machine& m, const Message& msg, std::uint64_t id,
     return extra;
   };
   int n = 0;
-  const double pd = drop_probability(t);
-  if (pd > 0.0 && rng_.next_double() < pd) {
+  if (spec_.drop > 0.0 && rng_.next_double() < spec_.drop) {
     ++m.stats_.fault_drops;
     ++m.stats_.class_drops[c];
     note(m, EventKind::kFaultDrop, t, from, msg, a0, id);

@@ -26,12 +26,11 @@
 //
 // Determinism: all fault randomness comes from one olden::Rng seeded with
 // RunConfig::fault_seed, drawn in a fixed order per message, and messages
-// are sent in simulation order; burst windows are a pure function of
-// virtual send time. The same (spec, seed) therefore reproduces the same
-// faults, and the same binary trace, on every run. Because the
-// benchmarks' data values never depend on timing, checksums under any
-// fault schedule equal the fault-free checksums (the soak test enforces
-// this).
+// are sent in simulation order. The same (spec, seed) therefore
+// reproduces the same faults, and the same binary trace, on every run.
+// Because the benchmarks' data values never depend on timing, checksums
+// under any fault schedule equal the fault-free checksums (the soak test
+// enforces this).
 //
 // Liveness: a message that exhausts its retransmit budget trips the
 // watchdog. Messages are sent from inside coroutines, whose promise
@@ -144,9 +143,6 @@ class FaultPlane {
   /// (and consume no randomness): a perfect wire.
   int transmit(Machine& m, const Message& msg, std::uint64_t id, ProcId from,
                ProcId to, Cycles t, Cycles wire, bool data, Cycles landed[2]);
-  /// Current drop probability: base rate times the burst multiplier when
-  /// `now` falls inside a burst window (pure function of virtual time).
-  [[nodiscard]] double drop_probability(Cycles now) const;
   void note(Machine& m, trace::EventKind k, Cycles time, ProcId proc,
             const Message& msg, std::uint64_t a0, std::uint64_t a1);
 

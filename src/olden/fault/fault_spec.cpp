@@ -125,27 +125,6 @@ bool parse_fault_spec(std::string_view text, FaultSpec* out,
       if (spec.delay > 0.0 && spec.delay_cycles == 0) {
         return fail(err, "faults: delay cycles must be >= 1");
       }
-    } else if (key == "burst") {
-      if (parts.size() != 3) {
-        return fail(err, "faults: burst takes three fields (burst=PERIOD:LEN:FACTOR)");
-      }
-      if (!parse_count(parts[0], "burst period", &spec.burst_period, err) ||
-          !parse_count(parts[1], "burst len", &spec.burst_len, err)) {
-        return false;
-      }
-      const std::string fbuf(parts[2]);
-      errno = 0;
-      char* end = nullptr;
-      const double f = std::strtod(fbuf.c_str(), &end);
-      if (errno != 0 || end != fbuf.c_str() + fbuf.size() || f < 0.0 ||
-          !std::isfinite(f)) {
-        return fail(err, "faults: burst factor must be a finite number >= 0, got '" + fbuf + "'");
-      }
-      spec.burst_factor = f;
-      if (spec.burst_period == 0 || spec.burst_len == 0 ||
-          spec.burst_len > spec.burst_period) {
-        return fail(err, "faults: burst needs 0 < LEN <= PERIOD");
-      }
     } else if (key == "hiccup") {
       if (parts.size() != 2) {
         return fail(err, "faults: hiccup takes two fields (hiccup=P:CYCLES)");
@@ -208,7 +187,7 @@ bool parse_fault_spec(std::string_view text, FaultSpec* out,
     } else {
       return fail(err,
                   "faults: unknown key '" + std::string(key) +
-                      "' (known: drop dup delay burst hiccup timeout retries "
+                      "' (known: drop dup delay hiccup timeout retries "
                       "classes)");
     }
   }

@@ -1,6 +1,6 @@
 // FaultSpec: the declarative description of a fault schedule.
 //
-// A spec is pure data — probabilities, windows, and protocol knobs. The
+// A spec is pure data — probabilities and protocol knobs. The
 // FaultPlane (fault_plane.hpp) combines a spec with a seed to produce a
 // deterministic stream of injected faults: the same (spec, seed) pair
 // reproduces the same drops, duplicates, delays and hiccups byte-for-byte
@@ -12,8 +12,6 @@
 //   drop=P            per-attempt drop probability, P in [0,1]
 //   dup=P             per-attempt duplicate probability
 //   delay=P:CYCLES    with probability P add uniform [1,CYCLES] wire latency
-//   burst=PER:LEN:F   every PER cycles, the first LEN cycles multiply the
-//                     drop probability by F (clamped to 1.0)
 //   hiccup=P:CYCLES   per-arrival probability of stalling the receiving
 //                     processor for CYCLES extra cycles
 //   timeout=CYCLES    ack timeout before the first retransmit
@@ -22,7 +20,7 @@
 //                     (migration, return_stub, future_resolve, fill,
 //                     invalidate, ts_check); default is every class
 //
-// e.g. --faults=drop=0.1,dup=0.05,delay=0.2:300,burst=20000:2000:4
+// e.g. --faults=drop=0.1,dup=0.05,delay=0.2:300,hiccup=0.01:500
 //      --faults=drop=0.2,classes=fill:invalidate:ts_check
 #pragma once
 
@@ -46,12 +44,6 @@ struct FaultSpec {
   double dup = 0.0;         ///< per-data-attempt duplicate probability
   double delay = 0.0;       ///< per-attempt extra-latency probability
   Cycles delay_cycles = 0;  ///< max extra wire cycles (uniform in [1, max])
-
-  /// Burst windows: purely a function of virtual send time (no RNG), so
-  /// bursts line up identically across reruns. burst_period == 0 disables.
-  Cycles burst_period = 0;
-  Cycles burst_len = 0;
-  double burst_factor = 1.0;  ///< drop multiplier inside a burst window
 
   double hiccup = 0.0;       ///< per-arrival receiver-stall probability
   Cycles hiccup_cycles = 0;  ///< stall length per hiccup

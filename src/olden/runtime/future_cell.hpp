@@ -1,4 +1,4 @@
-// FutureCell and WorkItem: the runtime side of Olden's futures (§2).
+// FutureCell: the runtime side of Olden's futures (§2).
 //
 // futurecall saves the caller's continuation on the local work list and
 // runs the body directly. Only if the body migrates away does the (now
@@ -7,11 +7,10 @@
 // migration occurs the body completes inline, the continuation is popped
 // unexecuted, and no thread was ever made (lazy task creation).
 //
-// A touch recycles its cell at once, so a work-list entry may outlive the
-// future it was made for: it names its cell together with the cell's
-// creation serial, and once a later futurecall has reused the cell the
-// serials differ and the entry is stale, exactly as it is once its
-// continuation was taken.
+// The work list is threaded through the cells themselves: a cell is on its
+// home's list exactly while its continuation is untaken, and leaves it
+// when a steal or the body's inline return takes it. A touch recycles the
+// cell at once, and the next futurecall links it in afresh.
 #pragma once
 
 #include <coroutine>
@@ -33,20 +32,23 @@ struct FutureCell {
   ProcId home = 0;
   bool resolved = false;
   /// The saved caller continuation was popped (stolen, or consumed by the
-  /// body's inline return).
+  /// body's inline return), so the cell is off its home's work list.
   bool taken = false;
   /// Set when the body completed on a processor other than `home`: the
   /// resolution message is then a release, and the touch that consumes the
   /// value performs the matching acquire (coherence event).
   bool resolved_remotely = false;
-  /// Creation serial (1-based futurecall count): tags the work-list entry
-  /// and attributes trace events.
+  /// Creation serial (1-based futurecall count): attributes trace events.
   std::uint64_t serial = 0;
 
   /// The future body's root coroutine; destroyed by the touch.
   std::coroutine_handle<> body;
   /// The caller continuation the work list offers for stealing.
   std::coroutine_handle<> cont;
+  /// The older and newer neighbours on the home's work list while the
+  /// continuation is untaken.
+  FutureCell* prev = nullptr;
+  FutureCell* next = nullptr;
 
   /// A thread blocked in touch, if any (null again once it is woken).
   std::coroutine_handle<> waiter;
@@ -60,23 +62,10 @@ struct FutureCell {
 
   /// Causal-chain bookkeeping (observability only): the ids of this cell's
   /// future_create and future_resolve events. A steal of the saved
-  /// continuation parents on the create (idle steal) or the resolve
-  /// (resolve-created steal); a blocked toucher's wake parents on the
-  /// resolve.
+  /// continuation parents on the create; a blocked toucher's wake parents
+  /// on the resolve.
   std::uint64_t obs_create_event = trace::kNoEvent;
   std::uint64_t obs_resolve_event = trace::kNoEvent;
-};
-
-/// A stealable continuation on a processor's work list: the cell that
-/// saved it, tagged with the serial the cell had then.
-struct WorkItem {
-  FutureCell* cell = nullptr;
-  std::uint64_t serial = 0;
-
-  /// Taken, or its cell recycled by a later futurecall.
-  [[nodiscard]] bool stale() const {
-    return cell->serial != serial || cell->taken;
-  }
 };
 
 }  // namespace olden

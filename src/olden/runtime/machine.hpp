@@ -63,13 +63,15 @@
 #define OLDEN_TSAN 0
 #endif
 
-// Symmetric transfer relies on the guaranteed tail call from
-// await_suspend; sanitizer instrumentation defeats that call, so every
-// transfer would leave a host frame behind and unbounded call/return
-// chains would overflow the host stack. Sanitized builds route those
-// resumptions through the front of the ready queue instead (the original
-// trampoline scheduling — identical virtual behavior, flat host stack).
-#if OLDEN_ASAN || OLDEN_TSAN
+// Symmetric transfer relies on the tail call from await_suspend, which
+// the compiler emits only when optimizing: sanitizer instrumentation
+// defeats it, and an unoptimized (-O0) build never makes it. Without it
+// every transfer leaves a host frame behind and unbounded call/return
+// chains overflow the host stack. Sanitized and unoptimized builds route
+// those resumptions through the front of the ready queue instead (the
+// original trampoline scheduling — identical virtual behavior, flat host
+// stack).
+#if OLDEN_ASAN || OLDEN_TSAN || !defined(__OPTIMIZE__)
 #define OLDEN_SYMMETRIC_TRANSFER 0
 #else
 #define OLDEN_SYMMETRIC_TRANSFER 1
@@ -278,11 +280,11 @@ class Machine {
     }
   }
 
-  /// Resume `h` next, on this processor, as this thread. Normal builds
+  /// Resume `h` next, on this processor, as this thread. Optimized builds
   /// symmetric-transfer (return `h` from await_suspend — the tail call
-  /// keeps the host stack flat); sanitized builds, where that tail call
-  /// is defeated by instrumentation, queue it at the front of the ready
-  /// queue instead (see OLDEN_SYMMETRIC_TRANSFER above). The two are
+  /// keeps the host stack flat); sanitized and unoptimized builds, where
+  /// that tail call is not made, queue it at the front of the ready queue
+  /// instead (see OLDEN_SYMMETRIC_TRANSFER above). The two are
   /// virtually indistinguishable: same processor, same thread, same
   /// clock, and the same ready-queue-depth histogram sample.
   [[nodiscard]] std::coroutine_handle<> transfer_to(std::coroutine_handle<> h) {
@@ -353,11 +355,11 @@ class Machine {
     Cycles clock = 0;
     SoftwareCache cache;
     std::deque<ReadyItem> ready;
-    std::deque<WorkItem> worklist;
-    /// Work-list entries whose continuation is still untaken, what an idle
-    /// steal could pop. Taken entries wait in `worklist` for lazy pruning,
-    /// so its size counts them too.
-    std::uint32_t stealable = 0;
+    /// The work list: exactly the untaken continuations of the cells made
+    /// here, oldest first, linked through FutureCell::prev/next.
+    FutureCell* work_head = nullptr;
+    FutureCell* work_tail = nullptr;
+    std::uint32_t work_length = 0;
   };
 
   /// Inter-processor message kinds on the discrete-event wire (distinct
@@ -520,11 +522,19 @@ class Machine {
     }
   }
   void resolve_future_at_home(FutureCell* cell);
-  /// Take `cell`'s continuation: a steal pops it, or the body's inline
-  /// return consumes it. Its home has one stealable entry fewer.
+  /// Wake the thread blocked touching the just-resolved `cell`, if any, at
+  /// its home's clock. The wake crosses threads: the waiter's next event is
+  /// caused by the resolve, not by whatever the waiter last did.
+  void wake_waiter(FutureCell* cell);
+  /// Take `cell`'s continuation off its home's work list: an idle steal
+  /// pops it from the head, or the body's inline return unlinks it from
+  /// wherever it stands.
   void take(FutureCell* cell) {
     cell->taken = true;
-    --procs_[cell->home].stealable;
+    Proc& pr = procs_[cell->home];
+    (cell->prev != nullptr ? cell->prev->next : pr.work_head) = cell->next;
+    (cell->next != nullptr ? cell->next->prev : pr.work_tail) = cell->prev;
+    --pr.work_length;
   }
 
   RunConfig cfg_;
@@ -541,9 +551,9 @@ class Machine {
   ThreadId next_thread_id_ = 0;
   bool root_done_ = false;
   std::uint64_t cells_live_ = 0;
-  /// Every FutureCell the machine made (stable addresses, so a stale
-  /// work-list entry always points at a cell), and the ones a touch freed,
-  /// reused last-in first-out by the next futurecall.
+  /// Every FutureCell the machine made (stable addresses, so the work
+  /// lists can link them), and the ones a touch freed, reused last-in
+  /// first-out by the next futurecall.
   std::deque<FutureCell> cells_;
   std::vector<FutureCell*> free_cells_;
 

@@ -28,8 +28,8 @@ TEST(FaultSpecParse, FullGrammarRoundTrips) {
   FaultSpec s;
   std::string err;
   ASSERT_TRUE(parse_fault_spec(
-      "drop=0.1,dup=0.05,delay=0.2:300,burst=20000:2000:4,"
-      "hiccup=0.01:500,timeout=6000,retries=10",
+      "drop=0.1,dup=0.05,delay=0.2:300,hiccup=0.01:500,timeout=6000,"
+      "retries=10",
       &s, &err))
       << err;
   EXPECT_TRUE(s.enabled);
@@ -37,9 +37,6 @@ TEST(FaultSpecParse, FullGrammarRoundTrips) {
   EXPECT_DOUBLE_EQ(s.dup, 0.05);
   EXPECT_DOUBLE_EQ(s.delay, 0.2);
   EXPECT_EQ(s.delay_cycles, 300u);
-  EXPECT_EQ(s.burst_period, 20000u);
-  EXPECT_EQ(s.burst_len, 2000u);
-  EXPECT_DOUBLE_EQ(s.burst_factor, 4.0);
   EXPECT_DOUBLE_EQ(s.hiccup, 0.01);
   EXPECT_EQ(s.hiccup_cycles, 500u);
   EXPECT_EQ(s.ack_timeout, 6000u);
@@ -67,8 +64,8 @@ TEST(FaultSpecParse, RejectsMalformedSpecs) {
       "hiccup=nan:5",         // and a hiccup probability
       "delay=0.5",            // missing :CYCLES
       "delay=0.5:0",          // zero delay cycles with positive probability
-      "burst=100:200:2",      // LEN > PERIOD
-      "burst=0:0:2",          // zero period
+      "burst=100:200:2",      // unknown key: there are no burst windows
+      "burst=0:0:2",          // likewise
       "hiccup=0.5",           // missing :CYCLES
       "timeout=0",            // protocol needs a positive timeout
       "retries=0",            // zero retries can never deliver through a drop
@@ -80,8 +77,8 @@ TEST(FaultSpecParse, RejectsMalformedSpecs) {
       "timeout=4294967297",   // past 2^32 cycles: backoff would wrap
       "delay=0.1:4294967297",  // likewise for an injected delay
       "hiccup=0.1:4294967297",  // and a hiccup
-      "burst=100:50:inf",     // non-finite burst factor
-      "burst=100:50:nan",     // non-finite burst factor
+      "burst=100:50:inf",     // unknown key, whatever the fields
+      "burst=100:50:nan",     // likewise
       "classes=",             // empty class mask
       "classes=fill:fill",    // duplicate class
       "classes=fill:frobs",   // unknown class
@@ -106,7 +103,7 @@ TEST(FaultSpecParse, ErrorsNameTheOffendingToken) {
       {"timeout=4294967297", "'timeout' must be at most 4294967296"},
       {"delay=0.1:4294967297", "'delay cycles' must be at most"},
       {"hiccup=0.1:4294967297", "'hiccup cycles' must be at most"},
-      {"burst=100:50:inf", "burst factor"},
+      {"burst=100:50:inf", "unknown key 'burst'"},
       {"delay=nan:300", "'delay' needs a probability in [0,1], got 'nan'"},
       {"classes=fill:frobs", "unknown class 'frobs'"},
       {"classes=fill:fill", "duplicate class 'fill'"},

@@ -233,8 +233,7 @@ TEST_P(TreeSumAllSchemes, CorrectUnderEverySchemeAndSize) {
 
 // TreeAdd's size (256K nodes) and processor count: a touch frees its cell
 // for the next futurecall, so the machine makes about as many cells as
-// futures are ever outstanding at once, not one per work-list entry still
-// queued (32,774 here).
+// futures are ever outstanding at once, not one per futurecall.
 TEST(RuntimeSmoke, TreeSumRecyclesFutureCells) {
   Machine m({.nprocs = 8});
   m.set_site_mechanisms(
@@ -244,10 +243,9 @@ TEST(RuntimeSmoke, TreeSumRecyclesFutureCells) {
   EXPECT_EQ(m.cells_live(), 0u);
 }
 
-// worklist_depth samples the continuations a steal could still take, each
-// of them a live cell's, so no sample exceeds the cells the machine made.
-// The work-list deque itself also holds taken entries that lazy pruning
-// has not reached: thousands of them on this tree.
+// worklist_depth samples the work list's length: the continuations a steal
+// could still take, each of them a live cell's, so no sample exceeds the
+// cells the machine made.
 TEST(RuntimeSmoke, WorklistDepthCountsStealableEntries) {
   trace::Observer obs;
   obs.begin_run("tree_sum");

@@ -515,6 +515,54 @@ TEST(StreamingAnalyzer, JsonReportByteIdentical) {
   EXPECT_EQ(test::fnv1a(human), 0x74859d22456c36c3ULL);
 }
 
+/// A faulted run that keeps every event: the human report's fault-plane
+/// lines count exactly what the run's stats counted, class by class.
+TEST(StreamingAnalyzer, FaultSummaryMatchesStats) {
+  fault::FaultSpec spec;
+  std::string err;
+  ASSERT_TRUE(fault::parse_fault_spec(
+      "drop=0.05,dup=0.02,delay=0.1:800,hiccup=0.1:300", &spec, &err))
+      << err;
+  test::StreamedObserver obs;
+  obs.begin_run("TreeAdd/faulty");
+  BenchConfig cfg{.nprocs = 4, .scheme = Coherence::kBilateral};
+  cfg.tiny = true;
+  cfg.observer = &obs;
+  cfg.faults = &spec;
+  const MachineStats s = find_benchmark("TreeAdd")->run(cfg).stats;
+  ASSERT_GT(s.retransmissions, 0u);
+  ASSERT_GT(s.hiccups_injected, 0u);
+
+  analyze::TraceFile file;
+  std::vector<analyze::RunReport> reports;
+  test::analyze_observer(obs, 10, &file, &reports);
+  ASSERT_EQ(file.runs.size(), 1u);
+  ASSERT_FALSE(file.runs[0].truncated());
+  const std::string human = analyze::human_report(file.runs[0], reports[0]);
+
+  std::string want = "fault plane:\n  ";
+  want += std::to_string(s.fault_drops) + " drops, ";
+  want += std::to_string(s.fault_delays) + " delays, ";
+  want += std::to_string(s.fault_duplicates) + " duplicates injected; ";
+  want += std::to_string(s.retransmissions) + " retransmits, ";
+  want += std::to_string(s.duplicates_suppressed) + " duplicates suppressed\n";
+  want += "  " + std::to_string(s.hiccups_injected) + " hiccups (";
+  want += std::to_string(s.hiccup_cycles) + " stall cycles); ";
+  EXPECT_NE(human.find(want), std::string::npos) << want << "\n" << human;
+
+  std::string by_class = "  retransmits by class:";
+  const char* sep = "";
+  for (std::size_t c = 0; c < kNumMsgClasses; ++c) {
+    if (s.class_retries[c] == 0) continue;
+    by_class += std::string(sep) + " " + to_string(static_cast<MsgClass>(c)) +
+                " " + std::to_string(s.class_retries[c]);
+    sep = ",";
+  }
+  by_class += "\n";
+  EXPECT_NE(human.find(by_class), std::string::npos)
+      << by_class << "\n" << human;
+}
+
 /// The Chrome trace_event document of the same three runs matches its
 /// pinned digest byte for byte.
 TEST(StreamingAnalyzer, ChromeJsonByteIdentical) {
