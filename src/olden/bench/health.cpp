@@ -179,8 +179,8 @@ Task<GPtr<Cell>> sim(Machine& m, GPtr<Village> v) {
     }
   }
 
-  // Assessment: after kAssessTicks, 25% of patients go up (if not root),
-  // the rest join the local waiting room.
+  // Assessment: after kAssessTicks, 25% of patients go up and give back
+  // their treatment slot; the rest are treated here.
   GPtr<Cell> up;
   {
     GPtr<Cell> c = co_await take_list(m, v, &Village::assess);
@@ -196,13 +196,15 @@ Task<GPtr<Cell>> sim(Machine& m, GPtr<Village> v) {
         const bool refer = (lcg_next(seed) >> 16) % 4 == 0;
         co_await wr(v, &Village::seed, seed, kVillageFld);
         co_await wr(p, &Patient::ticks, std::int32_t{0}, kPatFld);
-        if (refer && level < 100) {
+        if (refer) {
           auto hops = co_await rd(p, &Patient::hops, kPatFld);
           co_await wr(p, &Patient::hops, hops + 1, kPatFld);
           co_await wr(c, &Cell::next, up, kCellNext);
           up = c;
+          auto pers = co_await rd(v, &Village::personnel, kVillageFld);
+          co_await wr(v, &Village::personnel, pers + 1, kVillageFld);
         } else {
-          co_await push_list(m, v, &Village::waiting, c);
+          co_await push_list(m, v, &Village::inside, c);
         }
       } else {
         co_await wr(p, &Patient::ticks, ticks, kPatFld);
@@ -405,8 +407,9 @@ struct RefSim {
           if (refer) {
             p.hops += 1;
             up.insert(up.begin(), pi);
+            v.personnel += 1;
           } else {
-            v.waiting.insert(v.waiting.begin(), pi);
+            v.inside.insert(v.inside.begin(), pi);
           }
         } else {
           v.assess.insert(v.assess.begin(), pi);

@@ -178,15 +178,15 @@ constexpr PinnedTrace kPinnedTraces[] = {
     {"Perimeter", Coherence::kBilateral, 0x186bfa424653a4d1ULL,
      0x305c7c80bf0a31e5ULL,
      0xba36452aafab2b0aULL, 0x3a4e93ea94d09c89ULL},
-    {"Health", Coherence::kLocalKnowledge, 0x45ca93afe70fec56ULL,
-     0xcb03629dd058039cULL,
-     0x6e82c14fe9044aa1ULL, 0x2886c2f1b38febc3ULL},
-    {"Health", Coherence::kEagerGlobal, 0x19b87bd69e87e84dULL,
-     0xe4524d1198a6f303ULL,
-     0xc972048a73c8af15ULL, 0x7d742b8d0c2f2773ULL},
-    {"Health", Coherence::kBilateral, 0x84db4b327461c06bULL,
-     0x059a2ffd3c81bb1eULL,
-     0xa36aefc8260f2ae0ULL, 0x554830604a435d12ULL},
+    {"Health", Coherence::kLocalKnowledge, 0xdd6e3a9e886fe045ULL,
+     0xb81d6d721e287fb5ULL,
+     0x824bb444e160f4d2ULL, 0x40e63ec71bca48f4ULL},
+    {"Health", Coherence::kEagerGlobal, 0xcc86e6216f5255adULL,
+     0x54fd03b0d37ef485ULL,
+     0xee281d94c307c430ULL, 0x8d1e742c1023c0c1ULL},
+    {"Health", Coherence::kBilateral, 0xe326922d54d0ce61ULL,
+     0x74e867cbe6ce1d54ULL,
+     0xd43289051fe51ed1ULL, 0xb5ef278db5cf56f4ULL},
 };
 
 const PinnedTrace* pinned_trace(const std::string& name, Coherence scheme) {

@@ -61,9 +61,9 @@ constexpr PinnedLoop kPinnedLoops[] = {
     {"Perimeter", Coherence::kLocalKnowledge, 453025, 453025, ""},
     {"Perimeter", Coherence::kEagerGlobal, 525113, 525113, ""},
     {"Perimeter", Coherence::kBilateral, 525333, 525333, ""},
-    {"Health", Coherence::kLocalKnowledge, 245293, 245293, ""},
-    {"Health", Coherence::kEagerGlobal, 265815, 265815, ""},
-    {"Health", Coherence::kBilateral, 265835, 265835, ""},
+    {"Health", Coherence::kLocalKnowledge, 235296, 235296, ""},
+    {"Health", Coherence::kEagerGlobal, 257523, 257523, ""},
+    {"Health", Coherence::kBilateral, 257928, 257928, ""},
 };
 
 const PinnedLoop* pinned_loop(const std::string& name, Coherence scheme) {
