@@ -157,7 +157,7 @@ TEST(Classify, CausalBucketCoversEveryDestinationKind) {
     }
   }
   // The resolve-source overrides: a wake-up waited on the resolution
-  // message; a resolve-created steal likewise.
+  // message; a steal parented on a resolve likewise.
   EXPECT_EQ(causal_bucket(EventKind::kFutureResolve, EventKind::kCacheHit,
                           false),
             CycleBucket::kMigration);
