@@ -181,8 +181,8 @@ Task<std::int64_t> unit(Machine& m) {
   co_return 1;
 }
 
-/// micro_runtime's future_storm: every body returns inline, and every
-/// work-list entry stays queued until the processor next idles.
+/// micro_runtime's future_storm: every body returns inline and takes its
+/// continuation back off the work list.
 Task<std::int64_t> future_storm(Machine& m, int n) {
   std::int64_t acc = 0;
   for (int i = 0; i < n; ++i) {
@@ -197,16 +197,14 @@ TEST(FutureCells, InlinedFuturecallsReuseOneCell) {
   m.set_site_mechanisms(table());
   EXPECT_EQ(run_program(m, future_storm(m, 100'000)), 100'000);
   EXPECT_EQ(m.stats().futures_inlined, 100'000u);
-  // Each touch frees the cell the next futurecall takes, although every
-  // entry naming it stays queued until the processor idles.
+  // Each touch frees the cell the next futurecall takes.
   EXPECT_EQ(m.cells_created(), 1u);
   EXPECT_EQ(m.cells_live(), 0u);
 }
 
 /// Runs inline under the root's futurecall. Touching `first` frees its
-/// cell while the root's entry for it is still queued; the futurecall
-/// after it takes that cell, and its body migrates, so this processor
-/// idles and steals.
+/// cell; the futurecall after it takes that cell, and its body migrates,
+/// so this processor idles and steals.
 Task<std::int64_t> middle(Future<std::int64_t> first, GPtr<Node> far,
                           std::vector<int>* order) {
   const std::int64_t v = co_await touch(first);
@@ -224,11 +222,11 @@ Task<std::int64_t> recycled_root(Machine& m, std::vector<int>* order) {
   co_return co_await touch(mid);
 }
 
-/// Processor 0's work list holds [first's entry, mid's entry, the recycled
-/// cell's new entry] when it idles. The steal must skip the first entry,
-/// whose cell now carries a later serial, and take the oldest live
-/// continuation, the root's; an entry that read the recycled cell's state
-/// would resume middle's continuation first.
+/// The recycled cell left processor 0's work list when first's body
+/// returned inline, and rejoins it at the tail: when the processor idles
+/// the list holds mid's cell (the root's continuation), then the recycled
+/// cell (middle's). The steal must take the oldest, the root's; a cell
+/// relinked where first's stood would resume middle's continuation first.
 TEST(FutureCells, StealSkipsTheOldEntryOfARecycledCell) {
   Machine m({.nprocs = 2});
   m.set_site_mechanisms(table());
