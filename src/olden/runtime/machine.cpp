@@ -359,7 +359,6 @@ void Machine::migrate_to(ProcId target, std::coroutine_handle<> h,
   ThreadState* t = cur_thread_;
   OLDEN_REQUIRE(target != t->proc, "migration to the current processor");
   ++stats_.migrations;
-  ++t->migrations;
   on_release(*t);
   Proc& src = procs_[t->proc];
   if (obs_ != nullptr) {

@@ -25,8 +25,6 @@ struct ThreadState {
   /// Pages/lines written since the last migration — the compiler-inserted
   /// write tracking of Appendix A (eager-release and bilateral schemes).
   WriteLog write_log;
-  /// Number of forward migrations this thread has performed (statistics).
-  std::uint64_t migrations = 0;
   /// Departure bookkeeping for trace latency attribution (observability
   /// only; written when an observer is installed, never read by the
   /// runtime's own logic).
