@@ -17,9 +17,7 @@ std::string describe(const WatchdogDiagnostic& d) {
   s += d.reason;
   s += " at t=";
   s += std::to_string(d.sim_time);
-  s += ": ";
-  s += d.payload;
-  s += " msg #";
+  s += ": msg #";
   s += std::to_string(d.msg_id);
   s += " proc ";
   s += std::to_string(d.src);
@@ -30,18 +28,6 @@ std::string describe(const WatchdogDiagnostic& d) {
   s += " retransmissions); class ";
   s += d.msg_class;
   return s;
-}
-
-const char* payload_name(MsgClass c) {
-  switch (c) {
-    case MsgClass::kMigration: return "migration";
-    case MsgClass::kReturnStub: return "return_stub";
-    case MsgClass::kFutureResolve: return "future_resolve";
-    case MsgClass::kFill: return "fill_request";
-    case MsgClass::kInvalidate: return "invalidate_push";
-    case MsgClass::kTsCheck: return "ts_check_request";
-  }
-  return "?";
 }
 
 }  // namespace
@@ -148,7 +134,6 @@ FaultPlane::Outcome FaultPlane::exchange(Machine& m, const Message& msg) {
                                    .src = msg.src,
                                    .dst = msg.dst,
                                    .retries = retries,
-                                   .payload = payload_name(msg.cls),
                                    .msg_class = to_string(msg.cls)};
       }
       // drain() throws before the run goes on; until then the message

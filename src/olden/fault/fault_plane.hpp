@@ -60,8 +60,6 @@ struct WatchdogDiagnostic {
   ProcId src = 0;                ///< its sender
   ProcId dst = 0;                ///< its destination
   std::uint32_t retries = 0;     ///< retransmissions already attempted
-  /// Payload kind name, e.g. "migration" or "fill_request".
-  const char* payload = "";
   /// Message class of the stuck payload: "migration" | "return_stub" |
   /// "future_resolve" | "fill" | "invalidate" | "ts_check".
   const char* msg_class = "";
