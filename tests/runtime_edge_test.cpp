@@ -181,8 +181,8 @@ Task<std::int64_t> unit(Machine& m) {
   co_return 1;
 }
 
-/// micro_runtime's future_storm: every body returns inline and takes its
-/// continuation back off the work list.
+/// host_perf's FuturecallInline program: every body returns inline and
+/// takes its continuation back off the work list.
 Task<std::int64_t> future_storm(Machine& m, int n) {
   std::int64_t acc = 0;
   for (int i = 0; i < n; ++i) {
